@@ -63,11 +63,12 @@ ClusteringResult grid_dbscan(const Dataset& ds, const DbscanParams& params,
   std::vector<std::uint8_t> assigned(n, 0);
   std::vector<std::uint8_t> cell_dense(ncells, 0);
 
-  // Dense cells: all points core, no query; union within the cell.
+  // Dense cells: all points core, no query; union within the cell. A
+  // saturated cell can hold far-apart points, so it is never dense.
   std::uint64_t dense_cnt = 0, saved = 0;
   for (Grid::CellId c = 0; c < ncells; ++c) {
     const auto& pts = grid.points_in(c);
-    if (pts.size() < params.min_pts) continue;
+    if (pts.size() < params.min_pts || grid.saturated(c)) continue;
     cell_dense[c] = 1;
     ++dense_cnt;
     saved += pts.size();

@@ -1,8 +1,11 @@
 #include "core/murtree.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "common/distance.hpp"
+#include "index/grid.hpp"
 #include "obs/trace.hpp"
 
 namespace udb {
@@ -12,6 +15,164 @@ namespace {
 // probes, frequent enough that cancellation latency stays in the low
 // milliseconds even on slow hosts.
 constexpr std::size_t kBuildCheckStride = 2048;
+
+// The Algorithm-3 probe index: MC centres hashed into cells of side 2*eps on
+// the first k = min(d, 3) axes. A centre strictly within 2*eps of a point is
+// less than one side away on every gridded axis, so it sits in one of the
+// 3^k cells around the point's cell; the d-dimensional distance then filters
+// those candidates. Leaving the axes beyond the third to the distance filter
+// caps a probe at 27 cells, so one code path serves every d. Every cell a
+// point falls in gets a record holding the recorded cells around it, so a
+// cell's neighbourhood is looked up once, when the cell is first seen; after
+// that a probe costs at most one table lookup in any point order, and none
+// while consecutive points stay in one cell.
+class CenterGrid {
+ public:
+  struct Probe {
+    McId within_eps = kInvalidMc;  // first centre strictly within eps
+    bool within_2eps = false;      // some centre strictly within 2*eps
+  };
+
+  CenterGrid(std::size_t dim, double eps)
+      : dim_(dim),
+        axes_(std::min<std::size_t>(dim, kMaxAxes)),
+        side_(2.0 * eps),
+        eps2_(eps * eps),
+        two_eps2_((2.0 * eps) * (2.0 * eps)) {}
+
+  // One scan of the point's cell, then of the cells around it. Stops at the
+  // first centre within eps; otherwise reports whether any centre was within
+  // 2*eps.
+  Probe probe(const double* pt) {
+    const Cell& cell = cells_[cell_of(key_of(pt))];
+    Probe r;
+    if (scan(pt, cell, r)) return r;
+    for (std::uint32_t c : cell.nbrs)
+      if (scan(pt, cells_[c], r)) return r;
+    return r;
+  }
+
+  void add(const double* pt, McId id) {
+    const std::uint32_t c = cell_of(key_of(pt));
+    cells_[c].ids.push_back(id);
+    cells_[c].coords.insert(cells_[c].coords.end(), pt, pt + dim_);
+  }
+
+ private:
+  static constexpr std::size_t kMaxAxes = 3;
+  using Key = std::array<std::int64_t, kMaxAxes>;  // ungridded axes stay 0
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  // A cell some point fell in: its centres (possibly none yet), and the
+  // other recorded cells among the 3^k around it.
+  struct Cell {
+    Key key{};
+    std::vector<McId> ids;
+    std::vector<double> coords;  // row-major, dim_ per centre
+    std::vector<std::uint32_t> nbrs;
+  };
+
+  [[nodiscard]] Key key_of(const double* pt) const noexcept {
+    Key key{};
+    for (std::size_t a = 0; a < axes_; ++a)
+      key[a] = grid_cell_index(pt[a], side_);
+    return key;
+  }
+
+  bool scan(const double* pt, const Cell& cell, Probe& r) const noexcept {
+    const double* c = cell.coords.data();
+    for (std::size_t i = 0; i < cell.ids.size(); ++i, c += dim_) {
+      const double d2 = sq_dist(pt, c, dim_);
+      if (d2 < eps2_) {
+        r.within_eps = cell.ids[i];
+        r.within_2eps = true;
+        return true;
+      }
+      if (d2 < two_eps2_) r.within_2eps = true;
+    }
+    return false;
+  }
+
+  // The record for `key`. A new record and each recorded cell around it
+  // enter each other's neighbour lists. Consecutive points in one cell skip
+  // the table lookup.
+  std::uint32_t cell_of(const Key& key) {
+    if (last_ != kNone && cells_[last_].key == key) return last_;
+    std::uint32_t c = find(key);
+    if (c == kNone) {
+      c = static_cast<std::uint32_t>(cells_.size());
+      cells_.push_back(Cell{key, {}, {}, {}});
+      insert(c);
+      for_each_adjacent(key, [&](std::uint32_t o) {
+        cells_[c].nbrs.push_back(o);
+        cells_[o].nbrs.push_back(c);
+      });
+    }
+    return last_ = c;
+  }
+
+  // Calls fn(cell) for every recorded cell among the 3^k around `key`, other
+  // than `key` itself.
+  template <class Fn>
+  void for_each_adjacent(const Key& key, Fn&& fn) const {
+    std::array<std::int64_t, kMaxAxes> off{};
+    for (std::size_t a = 0; a < axes_; ++a) off[a] = -1;
+    while (true) {
+      Key probe = key;
+      bool self = true;
+      for (std::size_t a = 0; a < axes_; ++a) {
+        probe[a] += off[a];
+        self = self && off[a] == 0;
+      }
+      if (!self)
+        if (const std::uint32_t c = find(probe); c != kNone) fn(c);
+      std::size_t a = 0;
+      while (a < axes_ && off[a] == 1) off[a++] = -1;
+      if (a == axes_) break;
+      ++off[a];
+    }
+  }
+
+  [[nodiscard]] static std::size_t hash(const Key& k) noexcept {
+    std::uint64_t h = 0;
+    for (std::int64_t v : k)
+      h = (h ^ static_cast<std::uint64_t>(v)) * 0x9e3779b97f4a7c15ULL;
+    return static_cast<std::size_t>(h ^ (h >> 32));
+  }
+
+  [[nodiscard]] std::uint32_t find(const Key& key) const noexcept {
+    if (slots_.empty()) return kNone;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash(key) & mask;; i = (i + 1) & mask) {
+      const std::uint32_t c = slots_[i];
+      if (c == kNone || cells_[c].key == key) return c;
+    }
+  }
+
+  // Enters cells_[cell], whose key is absent, into the table; the table is
+  // a power of two in size and kept at most half full.
+  void insert(std::uint32_t cell) {
+    if (2 * cells_.size() <= slots_.size()) return place(cell);
+    slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()), kNone);
+    for (std::uint32_t c = 0; c < cells_.size(); ++c) place(c);
+  }
+
+  void place(std::uint32_t cell) noexcept {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = hash(cells_[cell].key) & mask;
+    while (slots_[i] != kNone) i = (i + 1) & mask;
+    slots_[i] = cell;
+  }
+
+  std::size_t dim_;
+  std::size_t axes_;
+  double side_;
+  double eps2_;
+  double two_eps2_;
+  std::vector<Cell> cells_;
+  std::vector<std::uint32_t> slots_;  // cell ids by key hash, linear probing
+  std::uint32_t last_ = kNone;  // cell of the previous probe
+};
 }  // namespace
 
 MuRTree::MuRTree(const Dataset& ds, double eps, Config cfg, ThreadPool* pool)
@@ -30,44 +191,60 @@ MuRTree::MuRTree(const Dataset& ds, double eps, Config cfg, ThreadPool* pool)
   point_mc_.assign(n, kInvalidMc);
 
   // Pass 1 (Algorithm 3, BUILD-MICRO-CLUSTERS): assign within eps, defer
-  // within 2*eps, otherwise found a new MC.
+  // within 2*eps, otherwise found a new MC. Both passes probe the centre
+  // grid, which lives only for the sweep.
   obs::Span assign_span(cfg_.tracer, "build.assign");
-  std::vector<PointId> unassigned;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (guard && i % kBuildCheckStride == 0)
-      guard->check_throw("murtree build pass 1");
-    const PointId p = static_cast<PointId>(i);
-    const auto pt = ds.point(p);
-    const McId hit = static_cast<McId>(level1_.first_within(pt, eps_));
-    if (hit != kInvalidMc) {
-      mcs_[hit].members.push_back(p);
-      point_mc_[p] = hit;
-      continue;
+  {
+    CenterGrid centers(ds.dim(), eps_);
+    const auto found_mc = [&](PointId p) {
+      const McId id = static_cast<McId>(mcs_.size());
+      MicroCluster mc;
+      mc.center = p;
+      mc.members.push_back(p);
+      mcs_.push_back(std::move(mc));
+      point_mc_[p] = id;
+      centers.add(ds.ptr(p), id);
+    };
+    std::vector<PointId> unassigned;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (guard && i % kBuildCheckStride == 0)
+        guard->check_throw("murtree build pass 1");
+      const PointId p = static_cast<PointId>(i);
+      const CenterGrid::Probe hit = centers.probe(ds.ptr(p));
+      if (hit.within_eps != kInvalidMc) {
+        mcs_[hit.within_eps].members.push_back(p);
+        point_mc_[p] = hit.within_eps;
+      } else if (cfg_.two_eps_rule && hit.within_2eps) {
+        unassigned.push_back(p);
+      } else {
+        found_mc(p);
+      }
     }
-    if (cfg_.two_eps_rule &&
-        level1_.first_within(pt, 2.0 * eps_) != kInvalidPoint) {
-      unassigned.push_back(p);
-      continue;
-    }
-    create_mc(p);
-  }
-  deferred_ = unassigned.size();
+    deferred_ = unassigned.size();
 
-  // Pass 2 (PROCESS-UNASSIGNED-POINT): join within eps or found a new MC.
-  for (std::size_t i = 0; i < unassigned.size(); ++i) {
-    if (guard && i % kBuildCheckStride == 0)
-      guard->check_throw("murtree build pass 2");
-    const PointId p = unassigned[i];
-    const auto pt = ds.point(p);
-    const McId hit = static_cast<McId>(level1_.first_within(pt, eps_));
-    if (hit != kInvalidMc) {
-      mcs_[hit].members.push_back(p);
-      point_mc_[p] = hit;
-    } else {
-      create_mc(p);
+    // Pass 2 (PROCESS-UNASSIGNED-POINT): join within eps or found a new MC.
+    for (std::size_t i = 0; i < unassigned.size(); ++i) {
+      if (guard && i % kBuildCheckStride == 0)
+        guard->check_throw("murtree build pass 2");
+      const PointId p = unassigned[i];
+      const McId hit = centers.probe(ds.ptr(p)).within_eps;
+      if (hit != kInvalidMc) {
+        mcs_[hit].members.push_back(p);
+        point_mc_[p] = hit;
+      } else {
+        found_mc(p);
+      }
     }
   }
 
+  // Level 1 is built once, STR-packed over the final centres, for the
+  // reachable-MC and serving queries. The entry id is the MC id.
+  std::vector<std::pair<const double*, PointId>> level1_items;
+  level1_items.reserve(mcs_.size());
+  for (McId z = 0; z < mcs_.size(); ++z)
+    level1_items.emplace_back(ds.ptr(mcs_[z].center), z);
+  level1_ =
+      RTree::bulk_load_str(ds.dim(), std::move(level1_items), cfg_.level1);
   assign_span.end();
 
   // AuxR-trees: one small R-tree per MC over its members (STR-packed by
@@ -110,19 +287,6 @@ MuRTree::MuRTree(const Dataset& ds, double eps, Config cfg, ThreadPool* pool)
   }
 }
 
-McId MuRTree::create_mc(PointId center) {
-  const McId id = static_cast<McId>(mcs_.size());
-  MicroCluster mc;
-  mc.center = center;
-  mc.members.push_back(center);
-  mcs_.push_back(std::move(mc));
-  point_mc_[center] = id;
-  // The level-1 entry's coordinates alias the dataset buffer, which outlives
-  // the tree; the entry id is the MC id.
-  level1_.insert(ds_->ptr(center), id);
-  return id;
-}
-
 void MuRTree::compute_inner_circles(ThreadPool* pool) {
   obs::Span span(cfg_.tracer, "build.inner_circles");
   const double half2 = (eps_ / 2.0) * (eps_ / 2.0);
@@ -160,6 +324,10 @@ void MuRTree::compute_reachable(ThreadPool* pool) {
           hits.clear();
           level1_.query_ball(ds_->point(mcs_[z].center), reach_r, hits,
                              /*strict=*/false);
+          // MC-id order, not the STR tree's tile order: ids follow point
+          // order, so the per-point walks over reach lists in the later
+          // phases visit member lists and AuxR-trees in allocation order.
+          std::sort(hits.begin(), hits.end());
           mcs_[z].reach.assign(hits.begin(), hits.end());
         }
       },

@@ -10,7 +10,13 @@
 // point is deferred to an unassignedList (the "2-eps rule" that limits the
 // number of MCs by discouraging overlapping centres); otherwise it founds a
 // new MC. Deferred points are resolved in a second pass (join within eps or
-// found an MC).
+// found an MC). Both passes probe a hash grid of the centres founded so far
+// (cells of side 2*eps on at most three axes, candidates filtered by the
+// true distance). Founding or deferring depends only on whether *some*
+// centre is within eps or 2*eps, never on which MC a point joins, so the
+// centre set and the deferred count are those of a linear scan over the
+// centres. Level 1 is STR bulk-loaded once over the final centres and serves
+// the reachable-MC and arbitrary-point queries (docs/ALGORITHM.md, Phase 1).
 
 #pragma once
 
@@ -135,8 +141,6 @@ class MuRTree {
   void check_invariants() const;
 
  private:
-  McId create_mc(PointId center);
-
   const Dataset* ds_;
   double eps_;
   Config cfg_;

@@ -1,6 +1,5 @@
 #include "index/grid.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace udb {
@@ -25,8 +24,14 @@ Grid::Grid(const Dataset& ds, double cell_side) : ds_(&ds), side_(cell_side) {
 Grid::CellCoord Grid::cell_coord(const double* pt) const {
   CellCoord coord(ds_->dim());
   for (std::size_t k = 0; k < ds_->dim(); ++k)
-    coord[k] = static_cast<std::int64_t>(std::floor(pt[k] / side_));
+    coord[k] = grid_cell_index(pt[k], side_);
   return coord;
+}
+
+bool Grid::saturated(CellId c) const noexcept {
+  for (std::int64_t v : cells_[c].coord)
+    if (v == kGridCellLimit || v == -kGridCellLimit) return true;
+  return false;
 }
 
 bool Grid::enumeration_feasible(std::int64_t k) const noexcept {

@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -18,6 +19,24 @@
 #include "common/dataset.hpp"
 
 namespace udb {
+
+// Cell indices are floor(x / side) saturated to [-kGridCellLimit,
+// kGridCellLimit]. The limit leaves headroom for neighbour offsets and for
+// the difference of two indices, so no index arithmetic can overflow even
+// when |x / side| >= 2^63 (huge coordinates or a tiny side). Clamping is
+// monotone and never widens a gap, so two coordinates within m cells of each
+// other stay within m cells; it only merges far cells, and callers that
+// filter candidates by true distance stay exact. NaN saturates low.
+inline constexpr std::int64_t kGridCellLimit = std::int64_t{1} << 60;
+
+[[nodiscard]] inline std::int64_t grid_cell_index(double x,
+                                                  double side) noexcept {
+  constexpr double kLimit = static_cast<double>(kGridCellLimit);
+  const double v = std::floor(x / side);
+  if (!(v > -kLimit)) return -kGridCellLimit;
+  if (v >= kLimit) return kGridCellLimit;
+  return static_cast<std::int64_t>(v);
+}
 
 class Grid {
  public:
@@ -52,6 +71,11 @@ class Grid {
   [[nodiscard]] bool enumeration_feasible(std::int64_t k) const noexcept;
 
   [[nodiscard]] CellCoord cell_coord(const double* pt) const;
+
+  // True when some coordinate of cell `c` hit the saturation limit: such a
+  // cell may hold points arbitrarily far apart, so "same cell" says nothing
+  // about distance there.
+  [[nodiscard]] bool saturated(CellId c) const noexcept;
 
  private:
   struct Cell {

@@ -126,7 +126,20 @@ void RTree::insert_recursive(Node& node, const double* pt, PointId id,
   const std::span<const double> p{pt, dim_};
   node.mbr.expand(p);
   if (node.is_leaf) {
-    node.set_coords(node.ids.size(), pt, dim_);
+    const std::size_t cnt = node.ids.size();
+    if (node.stride(dim_) <= cnt) {
+      // A bulk-loaded leaf's block is tight; widen it to the incremental
+      // leaves' fixed stride before appending.
+      const std::size_t old_stride = node.stride(dim_);
+      const std::size_t cap = static_cast<std::size_t>(cfg_.max_entries) + 1;
+      std::vector<double> wide(std::max(cap, cnt + 1) * dim_);
+      const std::size_t new_stride = wide.size() / dim_;
+      for (std::size_t k = 0; k < dim_; ++k)
+        for (std::size_t i = 0; i < cnt; ++i)
+          wide[k * new_stride + i] = node.block[k * old_stride + i];
+      node.block = std::move(wide);
+    }
+    node.set_coords(cnt, pt, dim_);
     node.ids.push_back(id);
     if (node.entry_count() > cfg_.max_entries) split_leaf(node, split_out);
     return;
@@ -456,8 +469,8 @@ RTree RTree::bulk_load_str(
   const std::size_t cap = cfg.max_entries;
   str_tile(items, 0, items.size(), 0, dim, cap);
 
-  // Pack leaves in tiled order. Bulk leaves are immutable, so their SoA
-  // blocks are allocated tight: stride == leaf entry count.
+  // Pack leaves in tiled order. Their SoA blocks are allocated tight
+  // (stride == leaf entry count); a later insert widens the block first.
   std::vector<std::unique_ptr<Node>> level;
   for (std::size_t i = 0; i < items.size(); i += cap) {
     auto leaf = std::make_unique<Node>(dim, /*leaf=*/true);

@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/brute_dbscan.hpp"
@@ -17,6 +18,7 @@
 #include "baselines/r_dbscan.hpp"
 #include "core/incremental.hpp"
 #include "core/mudbscan.hpp"
+#include "data/generators.hpp"
 #include "dist/mudbscan_d.hpp"
 #include "metrics/exactness.hpp"
 
@@ -131,6 +133,44 @@ TEST(Degenerate, ZeroVarianceDimensions) {
   Dataset ds(3, std::move(coords));
   expect_all_engines_match_brute(ds, DbscanParams{1.5, 4},
                                  "zero-variance dims");
+}
+
+TEST(Degenerate, ExtremeMagnitudeCoordinates) {
+  // Grid cell indices floor(x / side) leave the int64 range here, so they
+  // saturate: far-apart points can share a clamped cell, and only the
+  // distance filter may tell them apart. A dense cluster near the origin, a
+  // small cluster at x = 1e300 (its y offsets survive; 1e300 + y does not
+  // change x), isolated points at +-1e300, and four points that clamp into
+  // one cell while lying ~1e300 apart.
+  std::vector<double> coords;
+  for (int i = 0; i < 30; ++i) {
+    coords.push_back(0.1 * static_cast<double>(i % 6));
+    coords.push_back(0.1 * static_cast<double>(i / 6));
+  }
+  for (double y : {0.0, 0.1, 0.2, 0.3, 0.4}) {
+    coords.push_back(1e300);
+    coords.push_back(5.0 + y);
+  }
+  for (double x : {1e300, 2e300, 4e300, 8e300}) {
+    coords.push_back(x);
+    coords.push_back(0.0);
+  }
+  for (const auto& [x, y] : {std::pair{-1e300, 1.0}, std::pair{1e300, 1e300},
+                             std::pair{-1e300, -1e300}, std::pair{0.0, 1e300}}) {
+    coords.push_back(x);
+    coords.push_back(y);
+  }
+  Dataset ds(2, std::move(coords));
+  expect_all_engines_match_brute(ds, DbscanParams{0.5, 4}, "+-1e300 coords");
+
+  // A tiny eps on unit-scale data: x / eps overflows every cell index, and
+  // eps^2 underflows to zero, so no two points (not even duplicates) are
+  // neighbours.
+  Dataset unit = gen_blobs(120, 3, 3, 1.0, 0.05, 0.1, 17);
+  std::vector<double> dup(unit.ptr(0), unit.ptr(0) + unit.size() * 3);
+  dup.insert(dup.end(), unit.ptr(0), unit.ptr(0) + 30);
+  expect_all_engines_match_brute(Dataset(3, std::move(dup)),
+                                 DbscanParams{1e-300, 2}, "eps 1e-300");
 }
 
 // The incremental engine gets the same degenerate treatment: feed the points

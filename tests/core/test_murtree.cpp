@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "common/distance.hpp"
+#include "common/rng.hpp"
 #include "data/generators.hpp"
 
 namespace udb {
@@ -67,6 +70,96 @@ TEST(MuRTree, TwoEpsRuleLimitsMcCount) {
             static_cast<double>(without.num_mcs()) * 1.15);
   EXPECT_GT(with_rule.deferred_points(), 0u);
   EXPECT_EQ(without.deferred_points(), 0u);
+}
+
+// Algorithm 3 by linear scan over the centres founded so far: the reference
+// the grid-probed build must reproduce. Whether a point founds an MC or is
+// deferred depends only on whether some centre lies strictly within eps or
+// 2*eps, never on which MC a point joins, so the centre list (in founding
+// order) and the deferred count are fully determined.
+struct Alg3Reference {
+  std::vector<PointId> centers;
+  std::size_t deferred = 0;
+};
+
+Alg3Reference linear_scan_alg3(const Dataset& ds, double eps,
+                               bool two_eps_rule) {
+  Alg3Reference ref;
+  const auto any_center_within = [&](PointId p, double r) {
+    for (PointId c : ref.centers)
+      if (sq_dist(ds.ptr(p), ds.ptr(c), ds.dim()) < r * r) return true;
+    return false;
+  };
+  std::vector<PointId> unassigned;
+  for (PointId p = 0; p < ds.size(); ++p) {
+    if (any_center_within(p, eps)) continue;
+    if (two_eps_rule && any_center_within(p, 2.0 * eps))
+      unassigned.push_back(p);
+    else
+      ref.centers.push_back(p);
+  }
+  ref.deferred = unassigned.size();
+  for (PointId p : unassigned)
+    if (!any_center_within(p, eps)) ref.centers.push_back(p);
+  return ref;
+}
+
+// Integer-lattice points scaled by `step`, in a seeded order, plus a few
+// exact duplicates: with step = eps / m many pairs sit exactly eps or 2*eps
+// apart, where only the strict comparison decides.
+Dataset shuffled_lattice(std::size_t dim, std::size_t n, int side, double step,
+                         std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> coords;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t k = 0; k < dim; ++k)
+      coords.push_back(
+          step * static_cast<double>(rng.uniform_index(
+                     static_cast<std::uint64_t>(side))));
+  for (std::size_t i = 0; i < n / 10; ++i) {
+    const std::size_t src = rng.uniform_index(n);
+    for (std::size_t k = 0; k < dim; ++k)
+      coords.push_back(coords[src * dim + k]);
+  }
+  return Dataset(dim, std::move(coords));
+}
+
+TEST(MuRTree, AssignmentMatchesLinearScanAlgorithm3) {
+  for (std::size_t dim : {1u, 2u, 3u, 14u}) {
+    // A narrower lattice at d = 14 keeps exact-eps pairs common (squared
+    // distances there are Hamming-like counts).
+    const int side = dim > 3 ? 3 : 7;
+    std::vector<std::pair<Dataset, double>> cases;
+    // Lattice spacing eps, eps/2 and eps/2 with eps = 2: neighbours at
+    // exactly eps and 2*eps.
+    cases.emplace_back(shuffled_lattice(dim, 400, side, 1.0, 11 + dim), 1.0);
+    cases.emplace_back(shuffled_lattice(dim, 400, side, 0.5, 12 + dim), 1.0);
+    cases.emplace_back(shuffled_lattice(dim, 300, side, 1.0, 13 + dim), 2.0);
+    cases.emplace_back(gen_blobs(600, dim, 4, 30.0, 2.0, 0.1, 14 + dim),
+                       0.8 * std::sqrt(static_cast<double>(dim)));
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      const auto& [ds, eps] = cases[c];
+      for (bool rule : {true, false}) {
+        SCOPED_TRACE("d=" + std::to_string(dim) + " case " +
+                     std::to_string(c) + " two_eps_rule=" +
+                     std::to_string(rule));
+        MuRTree::Config cfg;
+        cfg.two_eps_rule = rule;
+        const MuRTree tree(ds, eps, cfg);
+        const Alg3Reference ref = linear_scan_alg3(ds, eps, rule);
+        std::vector<PointId> centers;
+        for (McId z = 0; z < tree.num_mcs(); ++z)
+          centers.push_back(tree.mc(z).center);
+        EXPECT_EQ(centers, ref.centers);
+        EXPECT_EQ(tree.deferred_points(), ref.deferred);
+        // Every point in one MC, every member strictly within eps.
+        EXPECT_NO_THROW(tree.check_invariants());
+        const MuRTree again(ds, eps, cfg);
+        for (PointId p = 0; p < ds.size(); ++p)
+          ASSERT_EQ(tree.mc_of_point(p), again.mc_of_point(p)) << "point " << p;
+      }
+    }
+  }
 }
 
 TEST(MuRTree, InnerCircleCountsAreStrictHalfEps) {

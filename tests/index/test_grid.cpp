@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "data/generators.hpp"
 
@@ -22,6 +23,32 @@ TEST(Grid, CellCoordHandlesNegatives) {
   EXPECT_EQ(grid.cell_coord(ds.ptr(0))[0], -1);
   EXPECT_EQ(grid.cell_coord(ds.ptr(1))[0], 0);
   EXPECT_EQ(grid.cell_coord(ds.ptr(2))[0], -1);
+}
+
+TEST(Grid, ExtremeCoordinatesSaturateCellIndices) {
+  // floor(x / side) beyond the int64 range saturates instead of overflowing,
+  // and neighbour enumeration around a saturated cell stays in range.
+  Dataset ds(2, {1e300, 0.0, -1e300, 1.0, 0.5, 0.5});
+  Grid grid(ds, 1.0);
+  EXPECT_EQ(grid.cell_coord(ds.ptr(0))[0], kGridCellLimit);
+  EXPECT_EQ(grid.cell_coord(ds.ptr(1))[0], -kGridCellLimit);
+  EXPECT_EQ(grid.cell_coord(ds.ptr(1))[1], 1);
+  EXPECT_TRUE(grid.saturated(grid.cell_of_point(0)));
+  EXPECT_TRUE(grid.saturated(grid.cell_of_point(1)));
+  EXPECT_FALSE(grid.saturated(grid.cell_of_point(2)));
+  for (Grid::CellId c = 0; c < grid.num_cells(); ++c) {
+    std::vector<Grid::CellId> nbrs;
+    grid.neighbors_within(c, 1, nbrs);
+    EXPECT_EQ(nbrs, std::vector<Grid::CellId>{c});
+  }
+  EXPECT_EQ(grid_cell_index(std::numeric_limits<double>::infinity(), 1.0),
+            kGridCellLimit);
+  EXPECT_EQ(grid_cell_index(-std::numeric_limits<double>::infinity(), 1.0),
+            -kGridCellLimit);
+  EXPECT_EQ(grid_cell_index(std::numeric_limits<double>::quiet_NaN(), 1.0),
+            -kGridCellLimit);
+  EXPECT_EQ(grid_cell_index(0.5, 1e-300), kGridCellLimit);
+  EXPECT_EQ(grid_cell_index(-2.5, 1.0), -3);
 }
 
 TEST(Grid, PointsBucketedByCell) {
