@@ -1,6 +1,7 @@
 #include "core/mudbscan.hpp"
 
 #include <atomic>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -21,9 +22,14 @@ inline std::atomic_ref<std::uint8_t> flag(std::vector<std::uint8_t>& v,
   return std::atomic_ref<std::uint8_t>(v[i]);
 }
 
-// Sequential-loop checkpoint stride (Algorithms 4/6/7/8). The parallel paths
+// Sequential-loop checkpoint stride (Algorithms 4/6). The parallel paths
 // checkpoint per chunk via parallel_for_chunked instead.
 constexpr std::size_t kSeqCheckStride = 1024;
+
+// Algorithm 7/8 work chunks (wndq / noise points). A guarded loop checks
+// once per chunk, so 256 wndq points bound the cancellation latency.
+constexpr std::size_t kPostCoreChunk = 256;
+constexpr std::size_t kPostNoiseChunk = 64;
 
 // wndq_ byte values double as query-avoidance reason codes: any nonzero
 // value means "tagged, skip the query" (all existing truthiness checks keep
@@ -156,7 +162,7 @@ void MuDbscanEngine::cluster() {
         if (!wndq_[q]) {
           wndq_[q] = kWndqDmc;
           is_core_[q] = 1;
-          wndq_list_.push_back(q);
+          ++stats.wndq_core_points;
         }
       }
     } else {  // Core MC
@@ -164,7 +170,7 @@ void MuDbscanEngine::cluster() {
       if (!wndq_[mc.center]) {
         wndq_[mc.center] = kWndqCmc;
         is_core_[mc.center] = 1;
-        wndq_list_.push_back(mc.center);
+        ++stats.wndq_core_points;
       }
     }
     for (PointId q : mc.members) {
@@ -247,7 +253,7 @@ void MuDbscanEngine::cluster() {
             is_core_[q] = 1;
             if (!wndq_[q]) {
               wndq_[q] = kWndqPromotion;
-              wndq_list_.push_back(q);
+              ++stats.wndq_core_points;
             }
           }
         }
@@ -266,7 +272,6 @@ void MuDbscanEngine::cluster() {
       }
     }
   }
-  stats.wndq_core_points = wndq_list_.size();
   stats.avoided_dmc = avoided.dmc();
   stats.avoided_cmc = avoided.cmc();
   stats.avoided_promotion = avoided.promotion();
@@ -296,8 +301,8 @@ void MuDbscanEngine::cluster() {
 //     core adopts an unassigned non-core neighbor — the classic parallel
 //     DBSCAN border race). Missed late-promoted cores are repaired by
 //     Algorithms 7/8 exactly as in the sequential engine.
-//   * wndq additions and the provisional-noise CSR go to per-thread buffers
-//     merged after the join, so the Algorithm 7/8 inputs keep their layout.
+//   * wndq counts and the provisional-noise CSR go to per-thread accumulators
+//     merged after the join, so the Algorithm 8 input keeps its layout.
 void MuDbscanEngine::cluster_parallel() {
   obs::Span phase_span(cfg_.tracer, "phase.cluster");
   WallTimer timer;
@@ -313,7 +318,7 @@ void MuDbscanEngine::cluster_parallel() {
   struct alignas(64) McAccum {
     std::uint64_t dmc = 0, cmc = 0, smc = 0;
     std::uint64_t unions = 0;
-    std::vector<PointId> wndq;
+    std::uint64_t wndq = 0;
   };
   std::vector<McAccum> mc_acc(nt);
   parallel_for_chunked(
@@ -338,7 +343,7 @@ void MuDbscanEngine::cluster_parallel() {
               if (!wndq_[q]) {
                 wndq_[q] = kWndqDmc;
                 is_core_[q] = 1;
-                acc.wndq.push_back(q);
+                ++acc.wndq;
               }
             }
           } else {  // Core MC
@@ -346,7 +351,7 @@ void MuDbscanEngine::cluster_parallel() {
             if (!wndq_[mc.center]) {
               wndq_[mc.center] = kWndqCmc;
               is_core_[mc.center] = 1;
-              acc.wndq.push_back(mc.center);
+              ++acc.wndq;
             }
           }
           for (PointId q : mc.members) {
@@ -363,7 +368,7 @@ void MuDbscanEngine::cluster_parallel() {
     stats.cmc += acc.cmc;
     stats.smc += acc.smc;
     unions += acc.unions;
-    wndq_list_.insert(wndq_list_.end(), acc.wndq.begin(), acc.wndq.end());
+    stats.wndq_core_points += acc.wndq;
   }
   alg4_span.end();
 
@@ -372,8 +377,8 @@ void MuDbscanEngine::cluster_parallel() {
   struct alignas(64) PtAccum {
     std::uint64_t queries = 0;
     std::uint64_t unions = 0;
+    std::uint64_t wndq = 0;
     AvoidedLedger avoided;
-    std::vector<PointId> wndq;
     std::vector<PointId> noise_pts;
     std::vector<std::uint32_t> noise_len;  // neighbors stored per noise point
     std::vector<PointId> noise_nbrs;
@@ -474,7 +479,7 @@ void MuDbscanEngine::cluster_parallel() {
                   if (flag(wndq_, q).compare_exchange_strong(
                           expected, kWndqPromotion,
                           std::memory_order_relaxed))
-                    acc.wndq.push_back(q);
+                    ++acc.wndq;
                 }
               }
             }
@@ -506,7 +511,7 @@ void MuDbscanEngine::cluster_parallel() {
   if (guard_) {
     std::size_t scratch_bytes = 0;
     for (const PtAccum& acc : pt_acc)
-      scratch_bytes += vector_bytes(acc.wndq) + vector_bytes(acc.noise_pts) +
+      scratch_bytes += vector_bytes(acc.noise_pts) +
                        vector_bytes(acc.noise_len) +
                        vector_bytes(acc.noise_nbrs) + vector_bytes(acc.nbhd);
     thread_scratch.acquire_throw(guard_, scratch_bytes,
@@ -520,7 +525,7 @@ void MuDbscanEngine::cluster_parallel() {
     avoided.merge(acc.avoided);
     unions += acc.unions;
     noise_provisional += acc.noise_pts.size();
-    wndq_list_.insert(wndq_list_.end(), acc.wndq.begin(), acc.wndq.end());
+    stats.wndq_core_points += acc.wndq;
     noise_pts_.insert(noise_pts_.end(), acc.noise_pts.begin(),
                       acc.noise_pts.end());
     noise_nbrs_.insert(noise_nbrs_.end(), acc.noise_nbrs.begin(),
@@ -528,7 +533,6 @@ void MuDbscanEngine::cluster_parallel() {
     for (std::uint32_t len : acc.noise_len)
       noise_off_.push_back(noise_off_.back() + len);
   }
-  stats.wndq_core_points = wndq_list_.size();
   stats.avoided_dmc = avoided.dmc();
   stats.avoided_cmc = avoided.cmc();
   stats.avoided_promotion = avoided.promotion();
@@ -551,13 +555,13 @@ void MuDbscanEngine::charge_scratch() {
   if (!guard_) return;
   scratch_charge_.acquire_throw(
       guard_,
-      vector_bytes(wndq_list_) + vector_bytes(noise_pts_) +
-          vector_bytes(noise_off_) + vector_bytes(noise_nbrs_),
-      "engine worklists + noise CSR");
+      vector_bytes(noise_pts_) + vector_bytes(noise_off_) +
+          vector_bytes(noise_nbrs_),
+      "engine noise CSR");
 }
 
 void MuDbscanEngine::finalize_metrics() {
-  metrics_.add(obs::Counter::kWndqCorePoints, wndq_list_.size());
+  metrics_.add(obs::Counter::kWndqCorePoints, stats.wndq_core_points);
   metrics_.add(obs::Counter::kMcDeferredPoints, tree_->deferred_points());
   metrics_.add(obs::Counter::kAuxTreesSearched, tree_->aux_trees_searched());
   const MuRTree::IndexCounters ic = tree_->index_counters();
@@ -572,45 +576,98 @@ void MuDbscanEngine::finalize_metrics() {
   }
 }
 
+// One code path at every thread count (no pool: the loops run inline). Once
+// cluster() joins, is_core_ is read-only; Algorithm 7 writes only the
+// lock-free union-find and Algorithm 8 only its own noise point's flag.
 void MuDbscanEngine::post_process() {
-  if (pool_) {
-    post_process_parallel();
-    return;
-  }
   obs::Span phase_span(cfg_.tracer, "phase.post_process");
   WallTimer timer;
-  const double eps2 = params_.eps * params_.eps;
-  std::uint64_t unions = 0;
-  std::uint64_t repaired = 0;
+  const double eps = params_.eps, eps2 = eps * eps;
+  const std::uint32_t min_pts = params_.min_pts;
+  struct alignas(64) PostAccum {
+    std::uint64_t pairs = 0, pairs_skipped = 0, evals = 0;
+    std::uint64_t unions = 0, repaired = 0;
+  };
+  std::vector<PostAccum> acc(pool_ ? pool_->num_threads() : 1);
 
   // --- Algorithm 7: POST-PROCESSING-CORE --------------------------------
-  // wndq-core points never ran a query, so their unions with core points of
-  // *other* clusters may be missing. For each, scan the filtered reachable
-  // MCs and unite with any core point strictly within eps that is not yet in
-  // the same set. (Distance is only computed for cores in a different set —
-  // far cheaper than a neighborhood query.)
+  // wndq-core points never ran a query, so their unions with cores of
+  // *other* clusters may be missing: each wndq point p is united with every
+  // core q strictly within eps in the filtered reachable MCs of MC(p). The
+  // worklist is gathered MC by MC, so the loop runs per MC pair (z, r),
+  // r in z.reach, over z's wndq points. If one set already holds those
+  // points and r's cores, the pair is skipped; else, per point, the MBR
+  // filter, a skip when p shares the set of r's cores, and a scan of r's
+  // cores in other sets. Sets only merge, so a skip never goes stale and the
+  // final sets are those of the per-point scan; a concurrent union can only
+  // make a skip a stale negative (a redundant check).
   obs::Span alg7_span(cfg_.tracer, "alg7.post_core");
-  for (std::size_t wi = 0; wi < wndq_list_.size(); ++wi) {
-    if (guard_ && wi % kSeqCheckStride == 0)
-      guard_->check_throw("algorithm 7");
-    const PointId p = wndq_list_[wi];
-    const McId z = tree_->mc_of_point(p);
-    const auto pt = ds_->point(p);
-    for (McId r : tree_->mc(z).reach) {
-      if (cfg_.mbr_filtration &&
-          !tree_->aux_tree(r).root_mbr().overlaps_ball(pt, params_.eps))
-        continue;
-      for (PointId q : tree_->mc(r).members) {
-        if (!is_core_[q]) continue;
-        if (uf_.find(q) == uf_.find(p)) continue;
-        ++stats.post_core_distance_evals;
-        if (sq_dist(pt.data(), ds_->ptr(q), ds_->dim()) < eps2) {
-          uf_.union_sets(p, q);
-          ++unions;
-        }
-      }
+  ScopedCharge work_charge;
+  work_charge.acquire_throw(guard_, stats.wndq_core_points * sizeof(PointId),
+                            "algorithm 7 worklist");
+  std::vector<PointId> work;
+  work.reserve(stats.wndq_core_points);
+  for (McId z = 0; z < tree_->num_mcs(); ++z)
+    for (PointId q : tree_->mc(z).members)
+      if (wndq_[q]) work.push_back(q);
+  // The one set holding every core of `pts` (points of `mc`), or
+  // kInvalidPoint when they span several sets or there are none. Algorithm 4
+  // united every member of a non-sparse MC with its centre.
+  const auto core_set = [&](const MicroCluster& mc,
+                            std::span<const PointId> pts) {
+    if (mc.classify(min_pts) != McKind::Sparse) return uf_.find(mc.center);
+    PointId set = kInvalidPoint;
+    for (PointId p : pts) {
+      if (!is_core_[p]) continue;
+      const PointId s = uf_.find(p);
+      if (set != kInvalidPoint && s != set) return kInvalidPoint;
+      set = s;
     }
-  }
+    return set;
+  };
+  parallel_for_chunked(
+      pool_.get(), work.size(), kPostCoreChunk,
+      [&](std::size_t begin, std::size_t end, unsigned tid) {
+        PostAccum& a = acc[tid];
+        for (std::size_t run = begin; run < end;) {
+          const McId z = tree_->mc_of_point(work[run]);
+          std::size_t run_end = run + 1;
+          while (run_end < end && tree_->mc_of_point(work[run_end]) == z)
+            ++run_end;
+          const std::span<const PointId> pts(&work[run], run_end - run);
+          const MicroCluster& mz = tree_->mc(z);
+          PointId z_set = core_set(mz, pts);
+          for (McId r : mz.reach) {
+            const MicroCluster& mr = tree_->mc(r);
+            ++a.pairs;
+            const PointId r_set = core_set(mr, mr.members);
+            if (z_set != kInvalidPoint) z_set = uf_.find(z_set);
+            if (r_set != kInvalidPoint && r_set == z_set) {
+              ++a.pairs_skipped;
+              continue;
+            }
+            for (PointId p : pts) {
+              const auto pt = ds_->point(p);
+              if (cfg_.mbr_filtration &&
+                  !tree_->aux_tree(r).root_mbr().overlaps_ball(pt, eps))
+                continue;
+              if (r_set != kInvalidPoint && uf_.find(r_set) == uf_.find(p))
+                continue;
+              for (PointId q : mr.members) {
+                if (!is_core_[q]) continue;
+                if (uf_.find(q) == uf_.find(p)) continue;
+                ++a.evals;
+                if (sq_dist(pt.data(), ds_->ptr(q), ds_->dim()) < eps2) {
+                  uf_.union_sets(p, q);
+                  ++a.unions;
+                }
+              }
+            }
+          }
+          run = run_end;
+        }
+      },
+      guard_);
   alg7_span.end();
 
   // --- Algorithm 8: POST-PROCESSING-NOISE -------------------------------
@@ -618,81 +675,10 @@ void MuDbscanEngine::post_process() {
   // point (one promoted to wndq-core after the noise point was processed)
   // is in fact a border point.
   obs::Span alg8_span(cfg_.tracer, "alg8.post_noise");
-  for (std::size_t i = 0; i < noise_pts_.size(); ++i) {
-    if (guard_ && i % kSeqCheckStride == 0)
-      guard_->check_throw("algorithm 8");
-    const PointId p = noise_pts_[i];
-    if (assigned_[p]) continue;
-    for (std::uint32_t j = noise_off_[i]; j < noise_off_[i + 1]; ++j) {
-      const PointId q = noise_nbrs_[j];
-      if (is_core_[q]) {
-        uf_.union_sets(q, p);
-        ++unions;
-        ++repaired;
-        assigned_[p] = 1;
-        break;
-      }
-    }
-  }
-  alg8_span.end();
-  metrics_.add(obs::Counter::kPostCoreDistanceEvals,
-               stats.post_core_distance_evals);
-  metrics_.add(obs::Counter::kUnionCalls, unions);
-  metrics_.add(obs::Counter::kBorderRepaired, repaired);
-  finalize_metrics();
-  stats.t_post = timer.seconds();
-}
-
-// Thread-parallel Algorithms 7 + 8. After cluster() joins, is_core_ is final
-// and read-only; Algorithm 7 writes nothing but the lock-free union-find, and
-// Algorithm 8 touches assigned_[p] only for its own (unique) noise point, so
-// both loops are data-parallel as-is.
-void MuDbscanEngine::post_process_parallel() {
-  obs::Span phase_span(cfg_.tracer, "phase.post_process");
-  WallTimer timer;
-  const double eps2 = params_.eps * params_.eps;
-  ThreadPool* pool = pool_.get();
-  const unsigned nt = pool->num_threads();
-
-  obs::Span alg7_span(cfg_.tracer, "alg7.post_core");
-  struct alignas(64) EvalAccum {
-    std::uint64_t v = 0;
-    std::uint64_t unions = 0;
-    std::uint64_t repaired = 0;
-  };
-  std::vector<EvalAccum> evals(nt);
   parallel_for_chunked(
-      pool, wndq_list_.size(), 16,
+      pool_.get(), noise_pts_.size(), kPostNoiseChunk,
       [&](std::size_t begin, std::size_t end, unsigned tid) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const PointId p = wndq_list_[i];
-          const McId z = tree_->mc_of_point(p);
-          const auto pt = ds_->point(p);
-          for (McId r : tree_->mc(z).reach) {
-            if (cfg_.mbr_filtration &&
-                !tree_->aux_tree(r).root_mbr().overlaps_ball(pt, params_.eps))
-              continue;
-            for (PointId q : tree_->mc(r).members) {
-              if (!is_core_[q]) continue;
-              // Concurrent unions may make this a stale negative — the
-              // worst case is a redundant distance eval + no-op union.
-              if (uf_.find(q) == uf_.find(p)) continue;
-              ++evals[tid].v;
-              if (sq_dist(pt.data(), ds_->ptr(q), ds_->dim()) < eps2) {
-                uf_.union_sets(p, q);
-                ++evals[tid].unions;
-              }
-            }
-          }
-        }
-      },
-      guard_);
-  alg7_span.end();
-
-  obs::Span alg8_span(cfg_.tracer, "alg8.post_noise");
-  parallel_for_chunked(
-      pool, noise_pts_.size(), 64,
-      [&](std::size_t begin, std::size_t end, unsigned tid) {
+        PostAccum& a = acc[tid];
         for (std::size_t i = begin; i < end; ++i) {
           const PointId p = noise_pts_[i];
           if (assigned_[p]) continue;
@@ -700,8 +686,8 @@ void MuDbscanEngine::post_process_parallel() {
             const PointId q = noise_nbrs_[j];
             if (is_core_[q]) {
               uf_.union_sets(q, p);
-              ++evals[tid].unions;
-              ++evals[tid].repaired;
+              ++a.unions;
+              ++a.repaired;
               assigned_[p] = 1;
               break;
             }
@@ -712,11 +698,16 @@ void MuDbscanEngine::post_process_parallel() {
   alg8_span.end();
 
   std::uint64_t unions = 0, repaired = 0;
-  for (const EvalAccum& e : evals) {
-    stats.post_core_distance_evals += e.v;
-    unions += e.unions;
-    repaired += e.repaired;
+  for (const PostAccum& a : acc) {
+    stats.post_core_mc_pairs += a.pairs;
+    stats.post_core_mc_pairs_skipped += a.pairs_skipped;
+    stats.post_core_distance_evals += a.evals;
+    unions += a.unions;
+    repaired += a.repaired;
   }
+  metrics_.add(obs::Counter::kPostCoreMcPairs, stats.post_core_mc_pairs);
+  metrics_.add(obs::Counter::kPostCoreMcPairsSkipped,
+               stats.post_core_mc_pairs_skipped);
   metrics_.add(obs::Counter::kPostCoreDistanceEvals,
                stats.post_core_distance_evals);
   metrics_.add(obs::Counter::kUnionCalls, unions);

@@ -46,8 +46,10 @@ struct MuDbscanConfig {
   // it returns the same neighborhood and re-derives the same unions — and
   // the ledger identity queries_performed + avoided_total == n holds at
   // every thread count. Downstream of that same race, wndq_core_points,
-  // post_core_distance_evals and the provisional-noise/border-repair counts
-  // also vary with promotion timing; the clustering never does.
+  // post_core_distance_evals, post_core_mc_pairs(_skipped) and the
+  // provisional-noise/border-repair counts also vary with promotion timing
+  // (and the Algorithm 7 counts with union timing); the clustering never
+  // does.
   unsigned num_threads = 1;
 
   // ---- observability (docs/OBSERVABILITY.md) -----------------------------
@@ -90,6 +92,11 @@ struct MuDbscanStats {
   std::uint64_t avoided_promotion = 0;  // tagged by dynamic wndq promotion
   std::uint64_t wndq_core_points = 0;  // cores identified without a query
   std::uint64_t post_core_distance_evals = 0;
+  // Algorithm 7 work at MC granularity: (MC, reachable MC) pairs checked,
+  // and those skipped because one set already held the MC's wndq cores and
+  // the reachable MC's cores.
+  std::uint64_t post_core_mc_pairs = 0;
+  std::uint64_t post_core_mc_pairs_skipped = 0;
 
   // Phase wall times, matching the paper's Table III split:
   double t_tree = 0.0;     // µR-tree construction (incl. MC formation)

@@ -40,8 +40,8 @@ class MuDbscanEngine {
   // PROCESS-REM-POINTS with dynamic wndq promotion. Fills stats.t_cluster.
   void cluster();
 
-  // Algorithms 7 + 8: POST-PROCESSING-CORE and POST-PROCESSING-NOISE.
-  // Fills stats.t_post.
+  // Algorithms 7 + 8: POST-PROCESSING-CORE (per micro-cluster pair) and
+  // POST-PROCESSING-NOISE. Fills stats.t_post.
   void post_process();
 
   void run_all() {
@@ -93,14 +93,14 @@ class MuDbscanEngine {
   MuDbscanStats stats;
 
  private:
-  // Thread-parallel variants of the phase bodies (cfg_.num_threads > 1):
-  // exact-equivalent to the sequential code paths, see docs/PARALLEL.md for
-  // the decomposition and the determinism argument.
+  // Thread-parallel variant of cluster() (cfg_.num_threads > 1):
+  // exact-equivalent to the sequential code path, see docs/PARALLEL.md for
+  // the decomposition and the determinism argument. post_process() has one
+  // code path for every thread count.
   void cluster_parallel();
-  void post_process_parallel();
 
-  // Trues up the budget charge for the engine-owned worklists (wndq list +
-  // provisional-noise CSR) after the clustering phase sized them.
+  // Trues up the budget charge for the engine-owned provisional-noise CSR
+  // after the clustering phase sized it.
   void charge_scratch();
 
   // Dumps the phase-end counters that live outside the registry (µR-tree
@@ -114,7 +114,7 @@ class MuDbscanEngine {
   std::unique_ptr<RunGuard> owned_guard_;  // set when cfg carries limits only
   RunGuard* guard_ = nullptr;              // cfg.guard or owned_guard_.get()
   ScopedCharge flags_charge_;              // flag vectors + union-find
-  ScopedCharge scratch_charge_;            // noise CSR + worklists (trued up)
+  ScopedCharge scratch_charge_;            // noise CSR (trued up)
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
   // Engine-owned metrics registry: always collected (the cost is per-thread
   // relaxed stores), merged into cfg_.metrics on destruction when set.
@@ -122,9 +122,10 @@ class MuDbscanEngine {
   std::unique_ptr<MuRTree> tree_;
   UnionFind uf_;
   std::vector<std::uint8_t> is_core_;
-  std::vector<std::uint8_t> wndq_;      // tagged wndq-core (skips its query)
+  // Tagged wndq-core (skips its query); Algorithm 7's worklist is the set
+  // of tagged points, gathered MC by MC.
+  std::vector<std::uint8_t> wndq_;
   std::vector<std::uint8_t> assigned_;  // united into some cluster
-  std::vector<PointId> wndq_list_;      // Algorithm 7 worklist
   // noiseList with stored neighborhoods (Algorithm 8): flattened CSR buffer.
   // Invariant (established in the constructor): noise_off_ always holds
   // noise_pts_.size() + 1 offsets, even with zero noise points.

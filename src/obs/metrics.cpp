@@ -25,6 +25,9 @@ const char* counter_name(Counter c) {
     case Counter::kMcDeferredPoints: return "mc_deferred_points";
     case Counter::kWndqCorePoints: return "wndq_core_points";
     case Counter::kPostCoreDistanceEvals: return "post_core_distance_evals";
+    case Counter::kPostCoreMcPairs: return "post_core_mc_pairs";
+    case Counter::kPostCoreMcPairsSkipped:
+      return "post_core_mc_pairs_skipped";
     case Counter::kNoiseProvisional: return "noise_provisional";
     case Counter::kBorderRepaired: return "border_repaired";
     case Counter::kUnionCalls: return "union_calls";
@@ -81,6 +84,9 @@ const char* counter_unit(Counter c) {
     case Counter::kPostCoreDistanceEvals:
     case Counter::kRtreeDistanceEvals:
       return "distance-evals";
+    case Counter::kPostCoreMcPairs:
+    case Counter::kPostCoreMcPairsSkipped:
+      return "mc-pairs";
     case Counter::kUnionCalls: return "calls";
     case Counter::kAuxTreesSearched: return "descents";
     case Counter::kRtreeNodeVisits: return "nodes";

@@ -60,6 +60,8 @@ enum class Counter : std::uint32_t {
   kMcDeferredPoints,           // points deferred out of undersized MCs
   kWndqCorePoints,             // cores proven Without Neighborhood Density Query
   kPostCoreDistanceEvals,      // Alg 7 candidate distance evaluations
+  kPostCoreMcPairs,            // Alg 7 (MC, reachable MC) pairs checked
+  kPostCoreMcPairsSkipped,     // ... skipped: both sides already one set
 
   // Clustering structure maintenance.
   kNoiseProvisional,           // points provisionally marked noise in Alg 6

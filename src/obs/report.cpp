@@ -135,6 +135,9 @@ void write_metrics_snapshot(JsonWriter& w, const MetricsSnapshot& snap,
   w.kv("union_calls", snap.counter(Counter::kUnionCalls));
   w.kv("post_core_distance_evals",
        snap.counter(Counter::kPostCoreDistanceEvals));
+  w.kv("post_core_mc_pairs", snap.counter(Counter::kPostCoreMcPairs));
+  w.kv("post_core_mc_pairs_skipped",
+       snap.counter(Counter::kPostCoreMcPairsSkipped));
   w.end_object();
 
   // Online insert/erase maintenance (core/incremental.*): how local the

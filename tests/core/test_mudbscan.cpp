@@ -5,7 +5,9 @@
 #include "baselines/brute_dbscan.hpp"
 #include "core/mudbscan_engine.hpp"
 #include "data/generators.hpp"
+#include "dist/mudbscan_d.hpp"
 #include "metrics/exactness.hpp"
+#include "obs/metrics.hpp"
 
 namespace udb {
 namespace {
@@ -170,6 +172,111 @@ TEST(MuDbscan, NoisePromotedToBorderByLateWndqCore) {
   EXPECT_TRUE(rep.exact()) << rep.detail;
   EXPECT_FALSE(got.is_core[0]);
   EXPECT_NE(got.label[0], kNoise);
+}
+
+// Algorithm 7 fixtures: two or more clusters that only Algorithm 7 joins,
+// because the cores linking them never ran a neighborhood query.
+
+// A chain of dense MCs on a line. Blob i has its centre at 1.5 i (listed
+// first) and six members at +-0.15/0.3/0.45, all inside the inner circle,
+// so with MinPts = 5 each blob is a DMC and every point is a wndq core
+// (zero queries). No member is within eps of another blob's centre, so each
+// blob is its own MC; adjacent blobs touch only through the member pair
+// (c_i + 0.45, c_{i+1} - 0.45), 0.6 < eps apart.
+Dataset dense_mc_chain(int blobs) {
+  std::vector<double> coords;
+  for (int i = 0; i < blobs; ++i) {
+    const double c = 1.5 * i;
+    coords.push_back(c);
+    for (double o : {-0.45, -0.3, -0.15, 0.15, 0.3, 0.45})
+      coords.push_back(c + o);
+  }
+  return Dataset(1, std::move(coords));
+}
+
+// Three sparse MCs (MinPts = 4): A = {3.1, 2.5}, B = {0.65, 1.0, 0.8} and,
+// founded from the deferred points, C = {2.1, 1.75, 2.0}. Queried in order,
+// 1.0 and 0.8 are cores whose cluster sees 1.75 only as 2.5's border point;
+// 2.1's query then promotes 1.75 (and 2.0), which is never queried. Only
+// Algorithm 7 — a promoted wndq core in a sparse MC against a sparse
+// reachable MC — unites 1.75 with the cores 0.8 and 1.0.
+Dataset promoted_core_sparse_mcs() {
+  return Dataset(1, {3.1, 0.65, 2.5, 1.0, 0.8, 2.1, 1.75, 2.0});
+}
+
+// Three MCs (MinPts = 3): CMCs A = {0.3, 0.9, 1.25} and
+// B = {3.2, 2.35, 2.55, 4.05}, and the sparse C = {1.3, 2.1} founded from the
+// deferred points. 0.9's query promotes 1.25 and 1.3 into A's set; 2.35's
+// promotes 2.1 (and 2.55) into B's. C's wndq cores thus sit in two sets, so no MC pair
+// involving C may be skipped on C's first point alone: only Algorithm 7
+// joins 2.1 with 1.3 and 1.25.
+Dataset sparse_mc_cores_in_two_sets() {
+  return Dataset(1, {0.3, 3.2, 0.9, 2.35, 2.55, 1.3, 1.25, 4.05, 2.1});
+}
+
+// Exact at 1 and 4 threads with Algorithm 7 doing distance work, and exact
+// under mudbscan_d at 2 ranks. Returns the Algorithm 7 distance evaluations
+// summed over the 2 ranks' engines.
+std::uint64_t expect_alg7_joins(const Dataset& ds, const DbscanParams& prm,
+                                std::size_t clusters) {
+  const auto truth = brute_dbscan(ds, prm);
+  EXPECT_EQ(truth.num_clusters(), clusters);
+  for (unsigned threads : {1u, 4u}) {
+    MuDbscanConfig cfg;
+    cfg.num_threads = threads;
+    MuDbscanStats st;
+    const auto got = mu_dbscan(ds, prm, &st, cfg);
+    const auto rep = compare_exact(truth, got);
+    EXPECT_TRUE(rep.exact()) << rep.detail << " (threads=" << threads << ")";
+    EXPECT_GT(st.post_core_distance_evals, 0u) << "threads=" << threads;
+    EXPECT_GT(st.post_core_mc_pairs, 0u) << "threads=" << threads;
+    EXPECT_LE(st.post_core_mc_pairs_skipped, st.post_core_mc_pairs);
+  }
+  obs::MetricsRegistry reg;
+  MuDbscanConfig cfg;
+  cfg.metrics = &reg;
+  const auto dist = mudbscan_d(ds, prm, 2, nullptr, cfg);
+  const auto rep = compare_exact(truth, dist);
+  EXPECT_TRUE(rep.exact()) << rep.detail << " (mudbscan_d, 2 ranks)";
+  return reg.snapshot().counter(obs::Counter::kPostCoreDistanceEvals);
+}
+
+TEST(MuDbscan, PostCoreJoinsDenseMcsLinkedOnlyByWndqCores) {
+  const Dataset ds = dense_mc_chain(8);
+  const DbscanParams prm{1.0, 5};
+  MuDbscanStats st;
+  (void)mu_dbscan(ds, prm, &st);
+  ASSERT_EQ(st.num_mcs, 8u);
+  ASSERT_EQ(st.dmc, 8u);
+  ASSERT_EQ(st.queries_performed, 0u);
+  // Every blob's pair with itself is one set already.
+  EXPECT_GE(st.post_core_mc_pairs_skipped, 8u);
+  // Each rank holds a run of blobs, so Algorithm 7 joins them there too.
+  EXPECT_GT(expect_alg7_joins(ds, prm, 1), 0u);
+}
+
+TEST(MuDbscan, PostCoreJoinsPromotedCoreInSparseMcs) {
+  const Dataset ds = promoted_core_sparse_mcs();
+  const DbscanParams prm{1.0, 4};
+  MuDbscanStats st;
+  (void)mu_dbscan(ds, prm, &st);
+  ASSERT_EQ(st.num_mcs, 3u);
+  ASSERT_EQ(st.smc, 3u);
+  ASSERT_EQ(st.avoided_promotion, 2u);
+  // At 2 ranks the join may come from the cross-rank merge instead.
+  (void)expect_alg7_joins(ds, prm, 1);
+}
+
+TEST(MuDbscan, PostCoreJoinsSparseMcCoresInTwoSets) {
+  const Dataset ds = sparse_mc_cores_in_two_sets();
+  const DbscanParams prm{1.0, 3};
+  MuDbscanStats st;
+  (void)mu_dbscan(ds, prm, &st);
+  ASSERT_EQ(st.num_mcs, 3u);
+  ASSERT_EQ(st.cmc, 2u);
+  ASSERT_EQ(st.smc, 1u);
+  ASSERT_EQ(st.avoided_promotion, 4u);
+  (void)expect_alg7_joins(ds, prm, 1);
 }
 
 }  // namespace

@@ -462,6 +462,7 @@ TEST(Report, RunReportSchemaGoldenKeys) {
       "\"aux_trees_searched\":", "\"rtree_node_visits\":",
       "\"rtree_distance_evals\":", "\"unionfind\":",
       "\"union_calls\":",     "\"post_core_distance_evals\":",
+      "\"post_core_mc_pairs\":", "\"post_core_mc_pairs_skipped\":",
       "\"incremental\":",     "\"mcs_touched\":",
       "\"graph_edges_repaired\":", "\"full_fallbacks\":",
       "\"counters\":",        "\"histograms\":",
