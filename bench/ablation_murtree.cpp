@@ -36,22 +36,19 @@ int main(int argc, char** argv) {
     const char* label;
     MuDbscanConfig cfg;
   };
-  MuDbscanConfig full, no2eps, nopromo, nofilt, nobulk, none;
+  MuDbscanConfig full, no2eps, nopromo, nofilt, none;
   no2eps.two_eps_rule = false;
   nopromo.dynamic_promotion = false;
   nofilt.mbr_filtration = false;
-  nobulk.bulk_aux = false;
   none.two_eps_rule = false;
   none.dynamic_promotion = false;
   none.mbr_filtration = false;
-  none.bulk_aux = false;
 
   const Variant variants[] = {
       {"full (paper algorithm)", full},
       {"no 2*eps rule", no2eps},
       {"no dynamic promotion", nopromo},
       {"no MBR filtration", nofilt},
-      {"incremental aux trees", nobulk},
       {"all optimizations off", none},
   };
 

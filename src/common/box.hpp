@@ -14,6 +14,24 @@
 
 namespace udb {
 
+// Squared distance from point `p` to the nearest point of the box [lo, hi]
+// (0 inside). Box::min_sq_dist and the µR-tree's flat MBR arrays share it,
+// so both filters compare the same value against radius^2.
+[[nodiscard]] inline double box_min_sq_dist(const double* lo, const double* hi,
+                                            const double* p,
+                                            std::size_t dim) noexcept {
+  double acc = 0.0;
+  for (std::size_t k = 0; k < dim; ++k) {
+    double d = 0.0;
+    if (p[k] < lo[k])
+      d = lo[k] - p[k];
+    else if (p[k] > hi[k])
+      d = p[k] - hi[k];
+    acc += d * d;
+  }
+  return acc;
+}
+
 class Box {
  public:
   Box() = default;
@@ -86,16 +104,7 @@ class Box {
   // point is inside). Used for exact box-ball overlap tests: the eps-ball of
   // `p` intersects the box iff min_sq_dist(p) <= eps^2.
   [[nodiscard]] double min_sq_dist(std::span<const double> p) const noexcept {
-    double acc = 0.0;
-    for (std::size_t k = 0; k < dim(); ++k) {
-      double d = 0.0;
-      if (p[k] < lo_[k])
-        d = lo_[k] - p[k];
-      else if (p[k] > hi_[k])
-        d = p[k] - hi_[k];
-      acc += d * d;
-    }
-    return acc;
+    return box_min_sq_dist(lo_.data(), hi_.data(), p.data(), dim());
   }
 
   [[nodiscard]] bool overlaps_ball(std::span<const double> center,

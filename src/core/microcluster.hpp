@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/dataset.hpp"
@@ -39,7 +40,9 @@ enum class McKind : std::uint8_t { Sparse, Core, Dense };
 
 struct MicroCluster {
   PointId center = kInvalidPoint;
-  std::vector<PointId> members;  // includes the centre
+  // Includes the centre. A view into the owning MuRTree's member store (its
+  // AuxR-tree leaves, in leaf order); valid for the tree's lifetime.
+  std::span<const PointId> members;
   std::uint32_t ic_count = 0;    // members (centre excluded) with dist < eps/2
   std::vector<McId> reach;       // reachable MCs: centres within 3*eps (self included)
 

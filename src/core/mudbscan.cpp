@@ -102,7 +102,6 @@ void MuDbscanEngine::build_tree() {
   WallTimer timer;
   MuRTree::Config tcfg;
   tcfg.two_eps_rule = cfg_.two_eps_rule;
-  tcfg.bulk_aux = cfg_.bulk_aux;
   tcfg.guard = guard_;
   tcfg.tracer = cfg_.tracer;
   tree_ = std::make_unique<MuRTree>(*ds_, params_.eps, tcfg, pool_.get());
@@ -195,20 +194,7 @@ void MuDbscanEngine::cluster() {
     ++stats.queries_performed;
 
     nbhd.clear();
-    if (cfg_.mbr_filtration) {
-      tree_->query_neighborhood(p, eps, nbhd);
-    } else {
-      // Ablation: search every reachable MC's aux tree without the MBR
-      // filter.
-      const McId z = tree_->mc_of_point(p);
-      const auto pt = ds_->point(p);
-      for (McId r : tree_->mc(z).reach) {
-        tree_->aux_tree(r).visit_ball(pt, eps, [&nbhd](PointId id, double d2) {
-          nbhd.emplace_back(id, d2);
-          return true;
-        });
-      }
-    }
+    tree_->query_neighborhood(p, eps, nbhd, cfg_.mbr_filtration);
     metrics_.observe(obs::Hist::kNeighborCount, nbhd.size());
 
     if (nbhd.size() < min_pts) {
@@ -405,19 +391,7 @@ void MuDbscanEngine::cluster_parallel() {
           ++acc.queries;
 
           nbhd.clear();
-          if (cfg_.mbr_filtration) {
-            tree_->query_neighborhood(p, eps, nbhd);
-          } else {
-            const McId z = tree_->mc_of_point(p);
-            const auto pt = ds_->point(p);
-            for (McId r : tree_->mc(z).reach) {
-              tree_->aux_tree(r).visit_ball(
-                  pt, eps, [&nbhd](PointId id, double d2) {
-                    nbhd.emplace_back(id, d2);
-                    return true;
-                  });
-            }
-          }
+          tree_->query_neighborhood(p, eps, nbhd, cfg_.mbr_filtration);
           metrics_.observe(obs::Hist::kNeighborCount, nbhd.size());
 
           if (nbhd.size() < min_pts) {
@@ -649,7 +623,7 @@ void MuDbscanEngine::post_process() {
             for (PointId p : pts) {
               const auto pt = ds_->point(p);
               if (cfg_.mbr_filtration &&
-                  !tree_->aux_tree(r).root_mbr().overlaps_ball(pt, eps))
+                  !tree_->mc_overlaps_ball(r, pt.data(), eps))
                 continue;
               if (r_set != kInvalidPoint && uf_.find(r_set) == uf_.find(p))
                 continue;

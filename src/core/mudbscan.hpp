@@ -26,11 +26,10 @@ struct MuDbscanConfig {
   bool two_eps_rule = true;        // Algorithm 3's MC-count limiting rule
   bool dynamic_promotion = true;   // Algorithm 6 lines 18-21
   bool mbr_filtration = true;      // reachable-MC MBR filter in FIND-NBHD
-  bool bulk_aux = true;            // STR-pack AuxR-trees (engineering knob)
 
   // Real shared-memory parallelism (paper Section VII). 1 = the sequential
   // engine, byte-for-byte the previous behavior. >1 runs the AuxR-tree
-  // builds, inner-circle/reachable computation, the Algorithm 6 query loop,
+  // tiling, inner-circle/reachable computation, the Algorithm 6 query loop,
   // and both post-processing passes on a thread pool of this size, with a
   // lock-free union-find; the clustering stays exactly equal to sequential
   // DBSCAN at every thread count (see docs/PARALLEL.md).

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "common/distance.hpp"
 #include "index/grid.hpp"
+#include "index/str.hpp"
 #include "obs/trace.hpp"
 
 namespace udb {
@@ -178,41 +182,42 @@ class CenterGrid {
 MuRTree::MuRTree(const Dataset& ds, double eps, Config cfg, ThreadPool* pool)
     : ds_(&ds), eps_(eps), cfg_(cfg), level1_(ds.dim(), cfg.level1) {
   if (!(eps > 0.0)) throw std::invalid_argument("MuRTree: eps must be > 0");
+  if (ds.size() >= std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("MuRTree: too many points for 32-bit slots");
   const std::size_t n = ds.size();
   RunGuard* guard = cfg_.guard;
 
-  // Up-front charge for the per-point map and a conservative floor for the
-  // member lists (every point appears in exactly one MC): a budget too small
-  // for even the skeleton fails here, before the expensive sweep starts.
+  // Up-front charge for the per-point map and the member store's slot ids
+  // and coordinates: a budget too small for even the skeleton fails here,
+  // before the expensive sweep starts.
   if (guard)
-    mem_charge_.acquire_throw(guard,
-                              n * (sizeof(McId) + sizeof(PointId)),
-                              "murtree skeleton");
+    mem_charge_.acquire_throw(
+        guard, n * (sizeof(McId) + sizeof(PointId) + ds.dim() * sizeof(double)),
+        "murtree skeleton");
   point_mc_.assign(n, kInvalidMc);
 
   // Pass 1 (Algorithm 3, BUILD-MICRO-CLUSTERS): assign within eps, defer
   // within 2*eps, otherwise found a new MC. Both passes probe the centre
-  // grid, which lives only for the sweep.
+  // grid, which lives only for the sweep. The sweep records only point_mc_;
+  // the member lists are laid out afterwards in one pass.
   obs::Span assign_span(cfg_.tracer, "build.assign");
+  std::vector<PointId> unassigned;
   {
     CenterGrid centers(ds.dim(), eps_);
     const auto found_mc = [&](PointId p) {
       const McId id = static_cast<McId>(mcs_.size());
       MicroCluster mc;
       mc.center = p;
-      mc.members.push_back(p);
       mcs_.push_back(std::move(mc));
       point_mc_[p] = id;
       centers.add(ds.ptr(p), id);
     };
-    std::vector<PointId> unassigned;
     for (std::size_t i = 0; i < n; ++i) {
       if (guard && i % kBuildCheckStride == 0)
         guard->check_throw("murtree build pass 1");
       const PointId p = static_cast<PointId>(i);
       const CenterGrid::Probe hit = centers.probe(ds.ptr(p));
       if (hit.within_eps != kInvalidMc) {
-        mcs_[hit.within_eps].members.push_back(p);
         point_mc_[p] = hit.within_eps;
       } else if (cfg_.two_eps_rule && hit.within_2eps) {
         unassigned.push_back(p);
@@ -229,7 +234,6 @@ MuRTree::MuRTree(const Dataset& ds, double eps, Config cfg, ThreadPool* pool)
       const PointId p = unassigned[i];
       const McId hit = centers.probe(ds.ptr(p)).within_eps;
       if (hit != kInvalidMc) {
-        mcs_[hit].members.push_back(p);
         point_mc_[p] = hit;
       } else {
         found_mc(p);
@@ -247,44 +251,108 @@ MuRTree::MuRTree(const Dataset& ds, double eps, Config cfg, ThreadPool* pool)
       RTree::bulk_load_str(ds.dim(), std::move(level1_items), cfg_.level1);
   assign_span.end();
 
-  // AuxR-trees: one small R-tree per MC over its members (STR-packed by
-  // default; the members are all known at this point). Each MC's tree is
-  // independent, so the builds run in parallel when a pool is supplied; the
-  // result is identical for any thread count. With a guard, every 32-MC
-  // chunk is a cooperative checkpoint (see parallel_for_chunked).
   obs::Span aux_span(cfg_.tracer, "build.aux_trees");
-  aux_.reserve(mcs_.size());
-  for (std::size_t z = 0; z < mcs_.size(); ++z)
-    aux_.emplace_back(ds.dim(), cfg_.aux);
+  build_member_store(unassigned, pool);
+  aux_span.end();
+
+  // True up the budget charge to the real footprint now that the index
+  // exists. The index is the run's dominant allocation after the dataset
+  // itself, so this is where an undersized budget is meant to trip.
+  if (guard) {
+    const std::size_t bytes =
+        vector_bytes(point_mc_) + level1_.memory_bytes() + vector_bytes(mcs_) +
+        vector_bytes(slot_ids_) + vector_bytes(slot_off_) +
+        vector_bytes(mc_leaf_off_) + vector_bytes(leaf_off_) +
+        vector_bytes(coords_) + vector_bytes(mc_box_) + vector_bytes(leaf_box_);
+    mem_charge_.acquire_throw(guard, bytes, "murtree index");
+  }
+}
+
+void MuRTree::build_member_store(const std::vector<PointId>& deferred,
+                                 ThreadPool* pool) {
+  const Dataset& ds = *ds_;
+  const std::size_t n = ds.size(), dim = ds.dim(), num_mcs = mcs_.size();
+  const std::size_t cap = kAuxLeafCap;
+
+  // Counting sort by MC, in sweep order (pass-1 joiners by id, then the
+  // deferred points), so a one-leaf MC lists its members in the order they
+  // joined. `deferred` is ascending, so a merge walk skips it in pass 1.
+  slot_off_.assign(num_mcs + 1, 0);
+  for (McId z : point_mc_) ++slot_off_[z + 1];
+  for (std::size_t z = 0; z < num_mcs; ++z) slot_off_[z + 1] += slot_off_[z];
+  slot_ids_.resize(n);
+  {
+    std::vector<std::uint32_t> next(slot_off_.begin(), slot_off_.end() - 1);
+    const auto place = [&](PointId p) { slot_ids_[next[point_mc_[p]]++] = p; };
+    std::size_t d = 0;
+    for (PointId p = 0; p < n; ++p) {
+      if (d < deferred.size() && deferred[d] == p)
+        ++d;
+      else
+        place(p);
+    }
+    for (PointId p : deferred) place(p);
+  }
+
+  // Leaves: ceil(size / cap) per MC, cut from the MC's tiled slot run.
+  mc_leaf_off_.assign(num_mcs + 1, 0);
+  for (std::size_t z = 0; z < num_mcs; ++z)
+    mc_leaf_off_[z + 1] = mc_leaf_off_[z] + static_cast<std::uint32_t>(
+        (slot_off_[z + 1] - slot_off_[z] + cap - 1) / cap);
+  const std::size_t num_leaves = mc_leaf_off_[num_mcs];
+  leaf_off_.resize(num_leaves + 1);
+  leaf_off_[num_leaves] = static_cast<std::uint32_t>(n);
+  coords_.resize(n * dim);
+  mc_box_.resize(num_mcs * 2 * dim);
+  leaf_box_.resize(num_leaves * 2 * dim);
+
+  // Each MC's tiling writes only its own slots, leaves and boxes, so the
+  // MCs run in parallel and the store is identical at every thread count.
+  // With a guard, every 32-MC chunk is a cooperative checkpoint.
+  const auto coord = [&ds](PointId p, std::size_t axis) {
+    return ds.ptr(p)[axis];
+  };
   parallel_for_chunked(
-      pool, mcs_.size(), 32,
+      pool, num_mcs, 32,
       [&](std::size_t begin, std::size_t end, unsigned) {
         for (std::size_t z = begin; z < end; ++z) {
-          const MicroCluster& mc = mcs_[z];
-          if (cfg_.bulk_aux) {
-            std::vector<std::pair<const double*, PointId>> items;
-            items.reserve(mc.members.size());
-            for (PointId q : mc.members) items.emplace_back(ds_->ptr(q), q);
-            aux_[z] =
-                RTree::bulk_load_str(ds_->dim(), std::move(items), cfg_.aux);
-          } else {
-            for (PointId q : mc.members) aux_[z].insert(ds_->ptr(q), q);
+          MicroCluster& mc = mcs_[z];
+          const std::uint32_t s0 = slot_off_[z], s1 = slot_off_[z + 1];
+          PointId* ids = slot_ids_.data();
+          str_tile(ids + s0, ids + s1, 0, dim, cap, coord);
+          mc.members = std::span<const PointId>(ids + s0, s1 - s0);
+          double* mc_lo = &mc_box_[z * 2 * dim];
+          double* mc_hi = mc_lo + dim;
+          std::fill(mc_lo, mc_hi, std::numeric_limits<double>::infinity());
+          std::fill(mc_hi, mc_hi + dim,
+                    -std::numeric_limits<double>::infinity());
+          std::uint32_t s = s0;
+          for (std::uint32_t l = mc_leaf_off_[z]; l < mc_leaf_off_[z + 1];
+               ++l) {
+            const std::uint32_t cnt =
+                std::min<std::uint32_t>(static_cast<std::uint32_t>(cap),
+                                        s1 - s);
+            leaf_off_[l] = s;
+            double* block = &coords_[std::size_t{s} * dim];
+            double* lo = &leaf_box_[std::size_t{l} * 2 * dim];
+            double* hi = lo + dim;
+            for (std::size_t k = 0; k < dim; ++k) {
+              lo[k] = std::numeric_limits<double>::infinity();
+              hi[k] = -std::numeric_limits<double>::infinity();
+              for (std::uint32_t i = 0; i < cnt; ++i) {
+                const double v = ds.ptr(ids[s + i])[k];
+                block[k * cnt + i] = v;
+                lo[k] = std::min(lo[k], v);
+                hi[k] = std::max(hi[k], v);
+              }
+              mc_lo[k] = std::min(mc_lo[k], lo[k]);
+              mc_hi[k] = std::max(mc_hi[k], hi[k]);
+            }
+            s += cnt;
           }
         }
       },
-      guard);
-
-  // True up the budget charge to the real footprint now that the trees
-  // exist. The index is the run's dominant allocation after the dataset
-  // itself, so this is where an undersized budget is meant to trip.
-  if (guard) {
-    std::size_t bytes = n * sizeof(McId) + level1_.memory_bytes();
-    for (const MicroCluster& mc : mcs_)
-      bytes += vector_bytes(mc.members) + vector_bytes(mc.reach) +
-               sizeof(MicroCluster);
-    for (const RTree& t : aux_) bytes += t.memory_bytes();
-    mem_charge_.acquire_throw(guard, bytes, "murtree index");
-  }
+      cfg_.guard);
 }
 
 void MuRTree::compute_inner_circles(ThreadPool* pool) {
@@ -343,54 +411,23 @@ void MuRTree::compute_reachable(ThreadPool* pool) {
   }
 }
 
-void MuRTree::query_neighborhood(
-    PointId p, double radius,
-    const std::function<void(PointId, double)>& fn) const {
-  const McId z = point_mc_[p];
-  const auto pt = ds_->point(p);
-  for (McId r : mcs_[z].reach) {
-    // Filtration (Section IV-B2): skip reachable MCs whose AuxR-tree MBR
-    // does not intersect the query ball.
-    if (!aux_[r].root_mbr().overlaps_ball(pt, radius)) continue;
-    aux_searched_.fetch_add(1, std::memory_order_relaxed);
-    aux_[r].visit_ball(
-        pt, radius,
-        [&fn](PointId id, double d2) {
-          fn(id, d2);
-          return true;
-        },
-        /*strict=*/true);
-  }
+MuRTree::QueryTally::~QueryTally() {
+  const auto add = [](std::atomic<std::uint64_t>& sink, std::uint64_t v) {
+    if (v != 0) sink.fetch_add(v, std::memory_order_relaxed);
+  };
+  add(tree.aux_searched_, searched);
+  add(tree.aux_node_visits_, nodes);
+  add(tree.aux_dist_evals_, evals);
+  add(tree.aux_kernel_blocks_, blocks);
+  add(tree.aux_kernel_tail_, tail);
 }
 
 void MuRTree::query_neighborhood(
-    PointId p, double radius,
-    std::vector<std::pair<PointId, double>>& out) const {
-  query_neighborhood(p, radius,
-                     [&out](PointId id, double d2) { out.emplace_back(id, d2); });
-}
-
-void MuRTree::query_neighborhood(
-    std::span<const double> q, double radius,
-    const std::function<void(PointId, double)>& fn) const {
-  if (q.size() != ds_->dim())
-    throw std::invalid_argument("MuRTree::query_neighborhood: wrong dimension");
-  // Candidate MCs: centres within radius + eps (<=, so a member exactly at
-  // `radius` whose centre sits at the bound is never missed).
-  std::vector<PointId> centers;
-  level1_.query_ball(q, mc_candidate_radius(radius, eps_), centers,
-                     /*strict=*/false);
-  for (PointId r : centers) {
-    if (!aux_[r].root_mbr().overlaps_ball(q, radius)) continue;
-    aux_searched_.fetch_add(1, std::memory_order_relaxed);
-    aux_[r].visit_ball(
-        q, radius,
-        [&fn](PointId id, double d2) {
-          fn(id, d2);
-          return true;
-        },
-        /*strict=*/true);
-  }
+    PointId p, double radius, std::vector<std::pair<PointId, double>>& out,
+    bool mbr_filter) const {
+  query_neighborhood(
+      p, radius, [&out](PointId id, double d2) { out.emplace_back(id, d2); },
+      mbr_filter);
 }
 
 void MuRTree::query_neighborhood(
@@ -402,49 +439,82 @@ void MuRTree::query_neighborhood(
 
 MuRTree::IndexCounters MuRTree::index_counters() const {
   IndexCounters c;
-  c.node_visits = level1_.node_visits();
-  c.distance_evals = level1_.distance_evals();
-  c.kernel_blocks = level1_.kernel_blocks();
-  c.kernel_tail_points = level1_.kernel_tail_points();
-  for (const RTree& t : aux_) {
-    c.node_visits += t.node_visits();
-    c.distance_evals += t.distance_evals();
-    c.kernel_blocks += t.kernel_blocks();
-    c.kernel_tail_points += t.kernel_tail_points();
-  }
+  c.node_visits = level1_.node_visits() +
+                  aux_node_visits_.load(std::memory_order_relaxed);
+  c.distance_evals = level1_.distance_evals() +
+                     aux_dist_evals_.load(std::memory_order_relaxed);
+  c.kernel_blocks = level1_.kernel_blocks() +
+                    aux_kernel_blocks_.load(std::memory_order_relaxed);
+  c.kernel_tail_points = level1_.kernel_tail_points() +
+                         aux_kernel_tail_.load(std::memory_order_relaxed);
   return c;
 }
 
 void MuRTree::check_invariants() const {
-  const std::size_t n = ds_->size();
+  const std::size_t n = ds_->size(), dim = ds_->dim();
   const double eps2 = eps_ * eps_;
+  const auto fail = [](const char* what) {
+    throw std::logic_error(std::string("MuRTree: ") + what);
+  };
+  if (slot_ids_.size() != n || slot_off_.size() != mcs_.size() + 1 ||
+      mc_leaf_off_.size() != mcs_.size() + 1 || slot_off_.back() != n ||
+      leaf_off_.size() != mc_leaf_off_.back() + 1 || leaf_off_.back() != n ||
+      coords_.size() != n * dim || mc_box_.size() != mcs_.size() * 2 * dim ||
+      leaf_box_.size() != mc_leaf_off_.back() * 2 * dim)
+    fail("member store arrays out of shape");
   std::vector<std::uint8_t> seen(n, 0);
   for (McId z = 0; z < mcs_.size(); ++z) {
     const MicroCluster& mc = mcs_[z];
-    if (mc.members.empty() || mc.members.front() == kInvalidPoint)
-      throw std::logic_error("MuRTree: malformed MC");
+    const std::uint32_t s0 = slot_off_[z], s1 = slot_off_[z + 1];
+    if (s1 <= s0 || mc.members.data() != slot_ids_.data() + s0 ||
+        mc.members.size() != s1 - s0)
+      fail("members are not the MC's slot run");
     const double* c = ds_->ptr(mc.center);
     bool center_listed = false;
     for (PointId q : mc.members) {
-      if (seen[q]) throw std::logic_error("MuRTree: point in two MCs");
+      if (q >= n) fail("slot holds an invalid point id");
+      if (seen[q]) fail("point in two MCs");
       seen[q] = 1;
-      if (point_mc_[q] != z)
-        throw std::logic_error("MuRTree: point_mc mismatch");
+      if (point_mc_[q] != z) fail("point_mc mismatch");
       if (q == mc.center) {
         center_listed = true;
         continue;
       }
-      if (sq_dist(c, ds_->ptr(q), ds_->dim()) >= eps2)
-        throw std::logic_error("MuRTree: member farther than eps from centre");
+      if (sq_dist(c, ds_->ptr(q), dim) >= eps2)
+        fail("member farther than eps from centre");
     }
-    if (!center_listed)
-      throw std::logic_error("MuRTree: centre not among members");
-    aux_[z].check_invariants();
-    if (aux_[z].size() != mc.members.size())
-      throw std::logic_error("MuRTree: aux tree size mismatch");
+    if (!center_listed) fail("centre not among members");
+
+    // Leaves: consecutive, full but for the last, covering the slot run.
+    const std::uint32_t l0 = mc_leaf_off_[z], l1 = mc_leaf_off_[z + 1];
+    const std::size_t cap = kAuxLeafCap;
+    if (l1 - l0 != (s1 - s0 + cap - 1) / cap) fail("wrong MC leaf count");
+    Box root(dim);
+    for (std::uint32_t l = l0; l < l1; ++l) {
+      const std::uint32_t b = leaf_off_[l], e = leaf_off_[l + 1];
+      if (b != s0 + (l - l0) * cap || e <= b || e - b > cap)
+        fail("leaf slots do not tile the MC's run");
+      const double* lo = &leaf_box_[std::size_t{l} * 2 * dim];
+      const double* hi = lo + dim;
+      for (std::uint32_t i = b; i < e; ++i) {
+        const double* pt = ds_->ptr(slot_ids_[i]);
+        for (std::size_t k = 0; k < dim; ++k) {
+          const double v = coords_[std::size_t{b} * dim + k * (e - b) + (i - b)];
+          if (std::memcmp(&v, &pt[k], sizeof v) != 0)
+            fail("leaf coordinates differ from the dataset");
+          if (v < lo[k] || v > hi[k]) fail("leaf MBR does not contain point");
+        }
+      }
+      root.expand(std::span<const double>(lo, dim));
+      root.expand(std::span<const double>(hi, dim));
+    }
+    const double* mlo = &mc_box_[std::size_t{z} * 2 * dim];
+    for (std::size_t k = 0; k < dim; ++k)
+      if (mlo[k] != root.lo(k) || mlo[dim + k] != root.hi(k))
+        fail("root MBR is not the union of its leaf MBRs");
   }
   for (std::size_t i = 0; i < n; ++i)
-    if (!seen[i]) throw std::logic_error("MuRTree: unassigned point");
+    if (!seen[i]) fail("unassigned point");
   level1_.check_invariants();
 }
 

@@ -17,17 +17,32 @@
 // centre set and the deferred count are those of a linear scan over the
 // centres. Level 1 is STR bulk-loaded once over the final centres and serves
 // the reachable-MC and arbitrary-point queries (docs/ALGORITHM.md, Phase 1).
+//
+// The AuxR-trees share one MC-major member store, built once after the
+// sweep: a counting sort by MC gives each MC a contiguous run of slots, and
+// each run is STR-tiled into leaves of at most kAuxLeafCap points. Flat
+// arrays hold each MC's root MBR, each leaf's MBR, each leaf's dim-major SoA
+// coordinate block and the slot -> point ids; MicroCluster::members views
+// the MC's run of ids. A one-leaf AuxR-tree is its root MBR plus one block;
+// a larger one is a root MBR over a row of leaf MBRs (STR packs the leaves,
+// and a second level over at most a few dozen leaves would test as many
+// MBRs as it saves). A query tests the root MBR, then each leaf MBR when
+// there are several, and hands each surviving leaf to sq_dist_block_soa.
 
 #pragma once
 
 #include <atomic>
+#include <concepts>
 #include <cstdint>
-#include <functional>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
+#include "common/box.hpp"
 #include "common/dataset.hpp"
 #include "common/parallel.hpp"
 #include "common/runguard.hpp"
+#include "common/simd.hpp"
 #include "core/microcluster.hpp"
 #include "index/rtree.hpp"
 #include "metrics/clustering.hpp"
@@ -45,12 +60,7 @@ class MuRTree {
     // either joins an MC within eps or immediately founds one). Produces more
     // MCs; clustering stays exact either way.
     bool two_eps_rule = true;
-    // AuxR-trees are built after all members are known, so STR bulk loading
-    // applies (faster build, tighter MBRs). false = incremental Guttman
-    // insertion, kept as an ablation.
-    bool bulk_aux = true;
     RTree::Config level1;
-    RTree::Config aux;
     // Optional run guard (not owned): the MC assignment sweep, AuxR-tree
     // builds, inner-circle and reachable phases run cooperative checkpoints
     // against it, and the built index structures are charged to its memory
@@ -63,8 +73,11 @@ class MuRTree {
     obs::Tracer* tracer = nullptr;
   };
 
+  // Points per AuxR-tree leaf (the R-tree default max_entries).
+  static constexpr std::uint32_t kAuxLeafCap = 16;
+
   // `pool` (optional) parallelizes the embarrassingly parallel build stages:
-  // per-MC AuxR-tree bulk loads, inner-circle counts, reachable-MC queries.
+  // per-MC AuxR-tree tiling, inner-circle counts, reachable-MC queries.
   // The MC assignment sweep itself stays sequential (points join MCs founded
   // by earlier points), so the tree is identical for every thread count.
   MuRTree(const Dataset& ds, double eps) : MuRTree(ds, eps, Config()) {}
@@ -77,9 +90,6 @@ class MuRTree {
   }
   [[nodiscard]] McId mc_of_point(PointId p) const noexcept {
     return point_mc_[p];
-  }
-  [[nodiscard]] const RTree& aux_tree(McId id) const noexcept {
-    return aux_[id];
   }
   [[nodiscard]] const Dataset& dataset() const noexcept { return *ds_; }
   [[nodiscard]] double eps() const noexcept { return eps_; }
@@ -96,14 +106,24 @@ class MuRTree {
 
   // Exact eps-neighborhood of point p (Lemma 3 + MBR filtration): searches
   // only the AuxR-trees of reachable MCs of MC(p) whose root MBR intersects
-  // the eps-ball of p. Visitor receives (point id, squared distance).
-  void query_neighborhood(
-      PointId p, double radius,
-      const std::function<void(PointId, double)>& fn) const;
+  // the `radius`-ball of p. Calls fn(point id, squared distance) for every
+  // member strictly within `radius`, MC by MC in reach-list order. With
+  // mbr_filter = false (the Section IV-B2 ablation) every reachable MC's
+  // AuxR-tree is searched. Exact for radius <= eps (Lemma 3).
+  template <class Fn>
+    requires std::invocable<Fn&, PointId, double>
+  void query_neighborhood(PointId p, double radius, Fn&& fn,
+                          bool mbr_filter = true) const {
+    QueryTally tally(*this);
+    const double* q = ds_->ptr(p);
+    for (McId r : mcs_[point_mc_[p]].reach)
+      search_aux(r, q, radius * radius, mbr_filter, fn, tally);
+  }
 
-  // As above but into a vector of (id, squared distance) pairs.
+  // As above but appends (id, squared distance) pairs to `out`.
   void query_neighborhood(PointId p, double radius,
-                          std::vector<std::pair<PointId, double>>& out) const;
+                          std::vector<std::pair<PointId, double>>& out,
+                          bool mbr_filter = true) const;
 
   // Exact radius-neighborhood of an *arbitrary* query position (not
   // necessarily a dataset point) — the serving layer's entry point
@@ -112,22 +132,52 @@ class MuRTree {
   // strictly < eps), so searching the AuxR-trees of those centres — with the
   // same MBR filtration as the by-id query — is exact for any radius.
   // Thread-safe: reads immutable structure, touches only atomic counters.
+  template <class Fn>
+    requires std::invocable<Fn&, PointId, double>
   void query_neighborhood(std::span<const double> q, double radius,
-                          const std::function<void(PointId, double)>& fn) const;
+                          Fn&& fn) const {
+    if (q.size() != ds_->dim())
+      throw std::invalid_argument(
+          "MuRTree::query_neighborhood: wrong dimension");
+    QueryTally tally(*this);
+    const double r2 = radius * radius;
+    const auto search = [&](PointId r) {
+      search_aux(static_cast<McId>(r), q.data(), r2, true, fn, tally);
+    };
+    // Candidate MCs: centres within radius + eps (<=, so a member exactly at
+    // `radius` whose centre sits at the bound is never missed). The level-1
+    // visitor captures one reference, so its std::function never allocates.
+    level1_.visit_ball(
+        q, mc_candidate_radius(radius, eps_),
+        [&search](PointId r, double) {
+          search(r);
+          return true;
+        },
+        /*strict=*/false);
+  }
   void query_neighborhood(std::span<const double> q, double radius,
                           std::vector<std::pair<PointId, double>>& out) const;
 
-  // Number of MCs whose AuxR-tree was actually searched across all
-  // query_neighborhood calls (for the filtration ablation). Atomic so
-  // concurrent queries from the parallel engine stay race-free.
+  // Whether MC z's AuxR-tree root MBR meets the `radius`-ball around q: the
+  // Section IV-B2 filter on its own, for callers that scan members directly.
+  [[nodiscard]] bool mc_overlaps_ball(McId z, const double* q,
+                                      double radius) const noexcept {
+    const double* box = &mc_box_[std::size_t{z} * 2 * ds_->dim()];
+    return box_min_sq_dist(box, box + ds_->dim(), q, ds_->dim()) <=
+           radius * radius;
+  }
+
+  // Number of MCs whose AuxR-tree was actually searched (root MBR passed, or
+  // no filter) across all query_neighborhood calls. Atomic so concurrent
+  // queries from the parallel engine stay race-free.
   [[nodiscard]] std::uint64_t aux_trees_searched() const noexcept {
     return aux_searched_.load(std::memory_order_relaxed);
   }
 
-  // Aggregated R-tree instrumentation over the level-1 tree and every
-  // AuxR-tree: nodes visited and point-distance evaluations across all
-  // queries since construction. O(num_mcs) — call at phase boundaries, not
-  // per query.
+  // Aggregated R-tree instrumentation over the level-1 tree and the
+  // AuxR-trees across all queries since construction. An AuxR-tree query
+  // visits the MC's root (one per reachable or candidate MC) and, when the
+  // MC has several leaves, each leaf whose MBR it tests.
   struct IndexCounters {
     std::uint64_t node_visits = 0;
     std::uint64_t distance_evals = 0;
@@ -137,22 +187,89 @@ class MuRTree {
   [[nodiscard]] IndexCounters index_counters() const;
 
   // Test hook: structural invariants — every point in exactly one MC, member
-  // distances < eps from the centre, level-1 / aux R-tree invariants.
+  // distances < eps from the centre, slots <-> members <-> point_mc agree,
+  // each MC's leaves hold its members in blocks of at most kAuxLeafCap with
+  // the right SoA coordinates, leaf MBRs contain their points and the root
+  // MBR is their union; level-1 R-tree invariants.
   void check_invariants() const;
 
  private:
+  // One query's counts, published to the shared atomics once when the query
+  // ends (every exit included), so the scan itself stays atomic-free.
+  struct QueryTally {
+    explicit QueryTally(const MuRTree& t) : tree(t) {}
+    QueryTally(const QueryTally&) = delete;
+    QueryTally& operator=(const QueryTally&) = delete;
+    ~QueryTally();
+    const MuRTree& tree;
+    std::size_t lanes = active_simd_lanes();
+    std::uint64_t searched = 0, nodes = 0, evals = 0, blocks = 0, tail = 0;
+  };
+
+  // Searches MC r's AuxR-tree for members strictly within sqrt(r2) of q.
+  template <class Fn>
+  void search_aux(McId r, const double* q, double r2, bool mbr_filter,
+                  Fn& fn, QueryTally& t) const {
+    const std::size_t dim = ds_->dim();
+    ++t.nodes;
+    if (mbr_filter) {
+      const double* box = &mc_box_[std::size_t{r} * 2 * dim];
+      if (box_min_sq_dist(box, box + dim, q, dim) > r2) return;
+    }
+    ++t.searched;
+    const std::uint32_t first = mc_leaf_off_[r], last = mc_leaf_off_[r + 1];
+    double d2[kAuxLeafCap];
+    for (std::uint32_t l = first; l < last; ++l) {
+      if (last - first > 1) {
+        ++t.nodes;
+        const double* box = &leaf_box_[std::size_t{l} * 2 * dim];
+        if (box_min_sq_dist(box, box + dim, q, dim) > r2) continue;
+      }
+      const std::size_t begin = leaf_off_[l];
+      const std::size_t cnt = leaf_off_[l + 1] - begin;
+      sq_dist_block_soa(q, &coords_[begin * dim], cnt, cnt, dim, d2);
+      t.evals += cnt;
+      ++t.blocks;
+      t.tail += cnt % t.lanes;
+      for (std::size_t i = 0; i < cnt; ++i)
+        if (d2[i] < r2) fn(slot_ids_[begin + i], d2[i]);
+    }
+  }
+
+  // Fills the member store from point_mc_; `deferred` lists the pass-2
+  // points in sweep order.
+  void build_member_store(const std::vector<PointId>& deferred,
+                          ThreadPool* pool);
+
   const Dataset* ds_;
   double eps_;
   Config cfg_;
   RTree level1_;
   std::vector<MicroCluster> mcs_;
-  std::vector<RTree> aux_;
   std::vector<McId> point_mc_;
   std::size_t deferred_ = 0;
-  // Budget charge for the index structures (point_mc_, MC member lists,
-  // level-1 tree, aux trees); released when the tree is destroyed.
+
+  // The AuxR-tree member store. MC z owns slots [slot_off_[z], slot_off_[z+1])
+  // and leaves [mc_leaf_off_[z], mc_leaf_off_[z+1]); leaf l owns slots
+  // [leaf_off_[l], leaf_off_[l+1]), and its coordinates sit dim-major at
+  // coords_[leaf_off_[l] * dim] with stride = its point count. MBRs are
+  // stored lo then hi, 2 * dim doubles each.
+  std::vector<PointId> slot_ids_;
+  std::vector<std::uint32_t> slot_off_;
+  std::vector<std::uint32_t> mc_leaf_off_;
+  std::vector<std::uint32_t> leaf_off_;
+  std::vector<double> coords_;
+  std::vector<double> mc_box_;
+  std::vector<double> leaf_box_;
+
+  // Budget charge for the index structures (point_mc_, the member store, MC
+  // records, level-1 tree, reach lists); released when the tree is destroyed.
   ScopedCharge mem_charge_;
   mutable std::atomic<std::uint64_t> aux_searched_{0};
+  mutable std::atomic<std::uint64_t> aux_node_visits_{0};
+  mutable std::atomic<std::uint64_t> aux_dist_evals_{0};
+  mutable std::atomic<std::uint64_t> aux_kernel_blocks_{0};
+  mutable std::atomic<std::uint64_t> aux_kernel_tail_{0};
 };
 
 }  // namespace udb

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "common/simd.hpp"
+#include "index/str.hpp"
 
 namespace udb {
 
@@ -16,6 +17,37 @@ namespace {
 // buffer before filtering; leaves larger than this (possible only with
 // unusually large Config::max_entries) fall back to a heap buffer.
 constexpr std::size_t kLeafScanBuf = 512;
+
+// Depth-first node stack for ball queries. A depth-first walk holds at most
+// about height * max_entries nodes: under 256 for any tree of up to 2^32
+// points at the default fan-out, so a query never touches the heap; deeper
+// or wider trees spill the excess into a vector. The spilled nodes are the
+// top of the stack (the inline part is full while any are spilled).
+template <class NodePtr>
+class NodeStack {
+ public:
+  [[nodiscard]] bool empty() const noexcept {
+    return size_ == 0 && spill_.empty();
+  }
+  void push(NodePtr n) {
+    if (size_ < kInline)
+      inline_[size_++] = n;
+    else
+      spill_.push_back(n);
+  }
+  NodePtr pop() noexcept {
+    if (spill_.empty()) return inline_[--size_];
+    NodePtr n = spill_.back();
+    spill_.pop_back();
+    return n;
+  }
+
+ private:
+  static constexpr std::size_t kInline = 256;
+  NodePtr inline_[kInline];
+  std::size_t size_ = 0;
+  std::vector<NodePtr> spill_;
+};
 
 }  // namespace
 
@@ -401,11 +433,10 @@ void RTree::visit_ball(std::span<const double> center, double radius,
   std::vector<double> heapbuf;
 
   // Explicit stack to avoid recursion overhead on deep trees.
-  std::vector<const Node*> stack;
-  stack.push_back(root_.get());
+  NodeStack<const Node*> stack;
+  stack.push(root_.get());
   while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
+    const Node* node = stack.pop();
     ++evals.nodes;
     if (node->mbr.min_sq_dist(center) > r2) continue;
     if (node->is_leaf) {
@@ -426,40 +457,10 @@ void RTree::visit_ball(std::span<const double> center, double radius,
         if (in && !fn(node->ids[i], buf[i])) return;
       }
     } else {
-      for (const auto& c : node->children) stack.push_back(c.get());
+      for (const auto& c : node->children) stack.push(c.get());
     }
   }
 }
-
-namespace {
-
-// STR tiling: recursively sorts `items` by successive axes and cuts them
-// into runs whose final size is `leaf_cap`, yielding spatially clustered
-// consecutive leaves.
-void str_tile(std::vector<std::pair<const double*, PointId>>& items,
-              std::size_t begin, std::size_t end, std::size_t axis,
-              std::size_t dim, std::size_t leaf_cap) {
-  const std::size_t count = end - begin;
-  if (count <= leaf_cap || axis >= dim) return;
-  std::sort(items.begin() + static_cast<std::ptrdiff_t>(begin),
-            items.begin() + static_cast<std::ptrdiff_t>(end),
-            [axis](const auto& a, const auto& b) {
-              return a.first[axis] < b.first[axis];
-            });
-  // Number of slabs along this axis: the remaining dims share the split
-  // factor evenly (classic STR: S = ceil((n/cap)^(1/remaining_dims))).
-  const double leaves = std::ceil(static_cast<double>(count) /
-                                  static_cast<double>(leaf_cap));
-  const double remaining = static_cast<double>(dim - axis);
-  const auto slabs = static_cast<std::size_t>(
-      std::max(1.0, std::ceil(std::pow(leaves, 1.0 / remaining))));
-  const std::size_t slab_size = (count + slabs - 1) / slabs;
-  for (std::size_t s = begin; s < end; s += slab_size) {
-    str_tile(items, s, std::min(end, s + slab_size), axis + 1, dim, leaf_cap);
-  }
-}
-
-}  // namespace
 
 RTree RTree::bulk_load_str(
     std::size_t dim, std::vector<std::pair<const double*, PointId>> items,
@@ -467,7 +468,8 @@ RTree RTree::bulk_load_str(
   RTree tree(dim, cfg);
   if (items.empty()) return tree;
   const std::size_t cap = cfg.max_entries;
-  str_tile(items, 0, items.size(), 0, dim, cap);
+  str_tile(items.begin(), items.end(), 0, dim, cap,
+           [](const auto& item, std::size_t axis) { return item.first[axis]; });
 
   // Pack leaves in tiled order. Their SoA blocks are allocated tight
   // (stride == leaf entry count); a later insert widens the block first.

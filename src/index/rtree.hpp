@@ -1,10 +1,12 @@
 // A d-dimensional R-tree (Guttman 1984) with quadratic split.
 //
-// This single index class serves three roles in the reproduction:
+// This single index class serves these roles in the reproduction:
 //   * the classical DBSCAN baseline (R-DBSCAN) indexes all n points in one
 //     tree;
-//   * the first level of the µR-tree indexes micro-cluster centres;
-//   * each micro-cluster's auxiliary R-tree (AuxR-tree) indexes its members.
+//   * the first level of the µR-tree indexes micro-cluster centres (the
+//     AuxR-trees over each MC's members live in the µR-tree's flat member
+//     store, core/murtree.hpp, with the same SoA leaves);
+//   * the incremental engine indexes its MC centres.
 //
 // Leaves store their entries as structure-of-arrays coordinate blocks:
 // a leaf-local packed `double` buffer laid out dim-major (coordinate k of
@@ -54,10 +56,10 @@ class RTree {
   void insert(const double* pt, PointId id);
 
   // Sort-Tile-Recursive (STR, Leutenegger et al.) bulk load: packs the items
-  // into fully-filled leaves tiled along successive axes, then packs parent
-  // levels the same way. Produces better-clustered MBRs than incremental
-  // insertion and builds in O(n log n); used by the bulk-build ablation and
-  // by callers that have all points up front.
+  // into fully-filled leaves tiled along successive axes (index/str.hpp),
+  // then packs parent levels the same way. Produces better-clustered MBRs
+  // than incremental insertion and builds in O(n log n); for callers that
+  // have all points up front.
   static RTree bulk_load_str(
       std::size_t dim, std::vector<std::pair<const double*, PointId>> items) {
     return bulk_load_str(dim, std::move(items), Config());

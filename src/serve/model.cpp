@@ -34,7 +34,6 @@ StatusOr<std::shared_ptr<const ClusterModel>> ClusterModel::build(
     }
     MuRTree::Config cfg;
     cfg.two_eps_rule = m->snap_.two_eps_rule;
-    cfg.bulk_aux = m->snap_.bulk_aux;
     cfg.guard = guard;
     m->tree_ = std::make_unique<MuRTree>(ds, m->snap_.params.eps, cfg, pool);
   } catch (const StatusError& e) {
@@ -205,7 +204,6 @@ StatusOr<std::shared_ptr<const ClusterModel>> model_from_stream(
   }
   snap.params = stream.params();
   snap.two_eps_rule = stream.config().two_eps_rule;
-  snap.bulk_aux = stream.config().bulk_aux;
   return ClusterModel::build(std::move(snap), pool, guard);
 }
 

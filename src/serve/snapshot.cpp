@@ -24,7 +24,10 @@ constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
 constexpr std::size_t kFooterBytes = 8;
 
 constexpr std::uint32_t kFlagTwoEpsRule = 1u << 0;
-constexpr std::uint32_t kFlagBulkAux = 1u << 1;
+// Bit 1 once selected STR-packed (set) or insertion-built AuxR-trees. The
+// member store has one build, so the bit is always written set and ignored
+// on read; files written with it clear still load.
+constexpr std::uint32_t kFlagLegacyBulkAux = 1u << 1;
 
 }  // namespace
 
@@ -51,9 +54,8 @@ StatusOr<std::vector<std::uint8_t>> serialize_model(const ModelSnapshot& snap) {
   payload.u64(n);
   payload.f64(snap.params.eps);
   payload.u32(snap.params.min_pts);
-  std::uint32_t flags = 0;
+  std::uint32_t flags = kFlagLegacyBulkAux;
   if (snap.two_eps_rule) flags |= kFlagTwoEpsRule;
-  if (snap.bulk_aux) flags |= kFlagBulkAux;
   payload.u32(flags);
   payload.u64(snap.result.num_clusters());
   payload.raw(snap.data.raw().data(), snap.data.raw().size() * sizeof(double));
@@ -192,7 +194,6 @@ StatusOr<ModelSnapshot> parse_model(std::span<const std::uint8_t> bytes,
   snap.result.label = std::move(labels);
   snap.result.is_core = std::move(is_core);
   snap.two_eps_rule = (flags & kFlagTwoEpsRule) != 0;
-  snap.bulk_aux = (flags & kFlagBulkAux) != 0;
   snap.report_json = std::move(report);
   return snap;
 }

@@ -5,7 +5,7 @@
 // and optionally the run's obs report JSON for provenance.
 //
 // The µR-tree itself is NOT serialized: its construction (Algorithm 3) is a
-// deterministic function of (dataset order, eps, two_eps_rule, bulk_aux), so
+// deterministic function of (dataset order, eps, two_eps_rule), so
 // load_model + ClusterModel reproduce the exact same index the fitting run
 // used, at a fraction of the format complexity and with no cross-version
 // pointer-layout hazards.
@@ -38,11 +38,10 @@ struct ModelSnapshot {
   DbscanParams params;
   ClusteringResult result;
 
-  // Engine knobs that shape the µR-tree; persisted so the serving index is
+  // Engine knob that shapes the µR-tree; persisted so the serving index is
   // bit-identical to the fitting run's (exactness does not depend on them,
   // query cost does).
   bool two_eps_rule = true;
-  bool bulk_aux = true;
 
   // Optional provenance: the obs run report of the fitting run, embedded
   // verbatim (empty = none).

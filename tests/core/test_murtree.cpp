@@ -8,6 +8,7 @@
 
 #include "common/distance.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "data/generators.hpp"
 
 namespace udb {
@@ -269,6 +270,171 @@ TEST(MuRTree, AuxTreesSearchedCounterAdvances) {
   std::vector<std::pair<PointId, double>> out;
   tree.query_neighborhood(0, 1.5, out);
   EXPECT_GT(tree.aux_trees_searched(), 0u);
+}
+
+// ---- the flat AuxR-tree member store ------------------------------------
+
+struct TargetGuard {
+  SimdTarget prev = active_simd_target();
+  ~TargetGuard() { force_simd_target(prev); }
+};
+
+using Hits = std::vector<std::pair<PointId, double>>;
+
+// Strict radius scan over every point: the reference for both query forms.
+Hits linear_ball(const Dataset& ds, const double* q, double radius) {
+  Hits out;
+  for (PointId p = 0; p < ds.size(); ++p) {
+    const double d2 = sq_dist(q, ds.ptr(p), ds.dim());
+    if (d2 < radius * radius) out.emplace_back(p, d2);
+  }
+  return out;
+}
+
+// Sorted by id; the distances must be the scalar sq_dist bit for bit (the
+// kernels' exactness contract), and no id may come back twice.
+void expect_same_hits(Hits got, const Hits& want) {
+  std::sort(got.begin(), got.end());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].first, want[i].first) << "hit " << i;
+    ASSERT_EQ(got[i].second, want[i].second) << "id " << got[i].first;
+  }
+}
+
+// Integer lattice of step eps / 2 on the first three axes (so many pairs sit
+// exactly eps apart), rarely off zero on the others, plus exact duplicates
+// and -0.0 twins of +0.0 coordinates: most MCs hold more than 16 members, so
+// their AuxR-trees have several leaves, at every dimension.
+Dataset adversarial_lattice(std::size_t dim, std::size_t n, double eps,
+                            std::uint64_t seed) {
+  Rng rng(seed);
+  const std::uint64_t side = dim > 3 ? 4 : 6;
+  std::vector<double> coords;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t k = 0; k < dim; ++k) {
+      const double steps =
+          k < 3 ? static_cast<double>(rng.uniform_index(side))
+                : (rng.uniform_index(64) == 0 ? 1.0 : 0.0);
+      coords.push_back(0.5 * eps * steps);
+    }
+  for (std::size_t i = 0; i < n / 5; ++i) {
+    const std::size_t src = rng.uniform_index(n);
+    for (std::size_t k = 0; k < dim; ++k) {
+      const double v = coords[src * dim + k];
+      coords.push_back(v == 0.0 && i % 2 == 0 ? -0.0 : v);
+    }
+  }
+  return Dataset(dim, std::move(coords));
+}
+
+TEST(MuRTreeFlatStore, QueriesMatchLinearScanAtEveryDimAndTarget) {
+  TargetGuard guard;
+  const double eps = 1.0;
+  for (std::size_t dim : {1u, 2u, 3u, 14u, 74u}) {
+    const Dataset ds = adversarial_lattice(dim, 400, eps, 100 + dim);
+    {
+      MuRTree tree(ds, eps);
+      tree.compute_reachable();
+      ASSERT_NO_THROW(tree.check_invariants());
+      std::size_t max_members = 0;
+      for (McId z = 0; z < tree.num_mcs(); ++z)
+        max_members = std::max(max_members, tree.mc(z).members.size());
+      ASSERT_GT(max_members, 2 * MuRTree::kAuxLeafCap)
+          << "no MC with three leaves at d=" << dim;
+
+      for (SimdTarget t : runnable_simd_targets()) {
+        force_simd_target(t);
+        SCOPED_TRACE("d=" + std::to_string(dim) + " target=" +
+                     simd_target_name(t));
+        // By id: radius eps and below (Lemma 3 covers radius <= eps), with
+        // and without the MBR filter.
+        for (PointId p = 0; p < ds.size(); p += 7) {
+          for (double radius : {eps, 0.5 * eps, 0.3 * eps}) {
+            const Hits want = linear_ball(ds, ds.ptr(p), radius);
+            for (bool filter : {true, false}) {
+              Hits got;
+              tree.query_neighborhood(p, radius, got, filter);
+              expect_same_hits(got, want);
+            }
+          }
+        }
+        // Arbitrary positions: dataset points, lattice midpoints and
+        // off-lattice points, at radii other than eps.
+        Rng rng(7 + dim);
+        for (int i = 0; i < 40; ++i) {
+          std::vector<double> q(dim);
+          for (std::size_t k = 0; k < dim; ++k)
+            q[k] = (i % 3 == 0)   ? ds.ptr(static_cast<PointId>(i))[k]
+                   : (i % 3 == 1) ? 0.25 * eps * static_cast<double>(
+                                                rng.uniform_index(12))
+                                  : rng.uniform(-0.5, 3.0);
+          for (double radius : {0.5 * eps, 0.75 * eps, 1.5 * eps, 2.5 * eps}) {
+            Hits got;
+            tree.query_neighborhood(std::span<const double>(q), radius, got);
+            expect_same_hits(got, linear_ball(ds, q.data(), radius));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MuRTreeFlatStore, UnfilteredQuerySearchesEveryReachableMc) {
+  Dataset ds = gen_blobs(1200, 2, 5, 60.0, 2.0, 0.1, 31);
+  MuRTree tree(ds, 1.5);
+  tree.compute_reachable();
+  std::uint64_t reach_total = 0;
+  for (PointId p = 0; p < ds.size(); p += 5)
+    reach_total += tree.mc(tree.mc_of_point(p)).reach.size();
+  const std::uint64_t before = tree.aux_trees_searched();
+  Hits out;
+  for (PointId p = 0; p < ds.size(); p += 5) {
+    out.clear();
+    tree.query_neighborhood(p, 1.5, out, /*mbr_filter=*/false);
+  }
+  EXPECT_EQ(tree.aux_trees_searched() - before, reach_total);
+}
+
+TEST(MuRTreeFlatStore, McOverlapTestNeverRejectsAMemberInRange) {
+  const Dataset ds = adversarial_lattice(3, 400, 1.0, 9);
+  MuRTree tree(ds, 1.0);
+  for (PointId p = 0; p < ds.size(); p += 3) {
+    for (PointId q = 0; q < ds.size(); ++q) {
+      if (sq_dist(ds.ptr(p), ds.ptr(q), 3) >= 1.0) continue;
+      ASSERT_TRUE(tree.mc_overlaps_ball(tree.mc_of_point(q), ds.ptr(p), 1.0))
+          << p << " -> " << q;
+    }
+  }
+}
+
+// The kernel counters are counted per leaf from the active target's lanes:
+// one MC of 37 points in leaves of 16, 16 and 5, all inside the query ball.
+TEST(MuRTreeFlatStore, KernelBlockAndTailCountsArePerLeaf) {
+  TargetGuard guard;
+  std::vector<double> coords;
+  for (int i = 0; i < 37; ++i) coords.push_back(0.01 * i);
+  Dataset ds(1, std::move(coords));
+  MuRTree tree(ds, 1.0);
+  tree.compute_reachable();
+  ASSERT_EQ(tree.num_mcs(), 1u);
+  for (SimdTarget t : runnable_simd_targets()) {
+    force_simd_target(t);
+    const std::uint64_t lanes = simd_lanes(t);
+    SCOPED_TRACE(simd_target_name(t));
+    const MuRTree::IndexCounters before = tree.index_counters();
+    const std::uint64_t searched = tree.aux_trees_searched();
+    Hits out;
+    tree.query_neighborhood(0, 1.0, out);
+    EXPECT_EQ(out.size(), 37u);
+    const MuRTree::IndexCounters after = tree.index_counters();
+    EXPECT_EQ(tree.aux_trees_searched() - searched, 1u);
+    EXPECT_EQ(after.node_visits - before.node_visits, 1u + 3u);
+    EXPECT_EQ(after.distance_evals - before.distance_evals, 37u);
+    EXPECT_EQ(after.kernel_blocks - before.kernel_blocks, 3u);
+    EXPECT_EQ(after.kernel_tail_points - before.kernel_tail_points,
+              2 * (16 % lanes) + 5 % lanes);
+  }
 }
 
 }  // namespace

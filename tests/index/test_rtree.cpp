@@ -187,5 +187,34 @@ INSTANTIATE_TEST_SUITE_P(NodeSizes, RTreeConfigSweep,
                                            std::make_pair(16u, 6u),
                                            std::make_pair(64u, 26u)));
 
+// A ball query keeps its depth-first stack inline up to 256 nodes and spills
+// the rest to the heap: a 300-wide node pushes past the inline part, and the
+// query must still visit every node once.
+TEST(RTree, WideNodesSpillTheQueryStackAndStayExact) {
+  RTree::Config cfg;
+  cfg.max_entries = 300;
+  cfg.min_entries = 6;
+  Dataset ds = gen_uniform(300 * 300 + 7, 1, 0.0, 1000.0, 12);
+  std::vector<std::pair<const double*, PointId>> items;
+  for (std::size_t i = 0; i < ds.size(); ++i)
+    items.emplace_back(ds.ptr(static_cast<PointId>(i)),
+                       static_cast<PointId>(i));
+  const RTree tree = RTree::bulk_load_str(1, std::move(items), cfg);
+  tree.check_invariants();
+  EXPECT_EQ(tree.stats().internal_nodes, 3u);  // a root over 2 wide parents
+  for (double r : {2000.0, 3.0}) {
+    const std::uint64_t visits = tree.node_visits();
+    const auto q = ds.point(5);
+    std::vector<PointId> got;
+    tree.query_ball(q, r, got);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, linear_ball(ds, q, r, true)) << "radius " << r;
+    // The all-covering query visits every node once: 3 internal, 301 leaves.
+    if (r > 1000.0) {
+      EXPECT_EQ(tree.node_visits() - visits, 304u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace udb

@@ -77,8 +77,32 @@ TEST_F(SnapshotTest, RoundtripIsIdentical) {
   EXPECT_EQ(loaded->params.eps, snap.params.eps);
   EXPECT_EQ(loaded->params.min_pts, snap.params.min_pts);
   EXPECT_EQ(loaded->two_eps_rule, snap.two_eps_rule);
-  EXPECT_EQ(loaded->bulk_aux, snap.bulk_aux);
   EXPECT_EQ(loaded->report_json, snap.report_json);
+}
+
+// Flag bit 1 once chose how AuxR-trees were built. Format v1 keeps it:
+// always written set, ignored on read, so files written with it clear load
+// to the same snapshot.
+TEST_F(SnapshotTest, LegacyAuxBuildFlagIsWrittenSetAndIgnoredOnRead) {
+  constexpr std::size_t kFlagsAt = 16 + 8 + 8 + 8 + 4;  // header, dim, n, eps, min_pts
+  const auto snap = make_snapshot();
+  const std::string p = path("legacy_flag.udbm");
+  ASSERT_TRUE(serve::save_model(snap, p).ok());
+  auto bytes = read_file(p);
+  ASSERT_GT(bytes.size(), kFlagsAt + 4);
+  std::uint32_t flags = 0;
+  std::memcpy(&flags, bytes.data() + kFlagsAt, 4);
+  EXPECT_EQ(flags, 3u);  // two_eps_rule | legacy bit 1
+
+  flags &= ~2u;
+  std::memcpy(bytes.data() + kFlagsAt, &flags, 4);
+  fix_checksum(bytes);
+  write_file(p, bytes);
+  auto loaded = serve::load_model(p);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded->data.raw(), snap.data.raw());
+  EXPECT_EQ(loaded->result.label, snap.result.label);
+  EXPECT_TRUE(loaded->two_eps_rule);
 }
 
 TEST_F(SnapshotTest, SaveIsDeterministic) {

@@ -101,7 +101,6 @@ ModelSnapshot snapshot_of(StreamingMuDbscan& stream) {
   snap.data = stream.dataset();
   snap.params = stream.params();
   snap.two_eps_rule = stream.config().two_eps_rule;
-  snap.bulk_aux = stream.config().bulk_aux;
   return snap;
 }
 
