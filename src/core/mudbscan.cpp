@@ -22,10 +22,6 @@ inline std::atomic_ref<std::uint8_t> flag(std::vector<std::uint8_t>& v,
   return std::atomic_ref<std::uint8_t>(v[i]);
 }
 
-// Sequential-loop checkpoint stride (Algorithms 4/6). The parallel paths
-// checkpoint per chunk via parallel_for_chunked instead.
-constexpr std::size_t kSeqCheckStride = 1024;
-
 // Algorithm 7/8 work chunks (wndq / noise points). A guarded loop checks
 // once per chunk, so 256 wndq points bound the cancellation latency.
 constexpr std::size_t kPostCoreChunk = 256;
@@ -45,18 +41,22 @@ enum WndqReason : std::uint8_t {
   kWndqPromotion = 3,  // dynamically promoted (Algorithm 6 lines 18-21)
 };
 
-// Per-reason skip totals accumulated at the Algorithm 6 skip site. Each
-// point is tested exactly once, so performed + avoided[*] == n.
-struct AvoidedLedger {
-  std::uint64_t by_reason[4] = {};
-  void count(std::uint8_t reason) { ++by_reason[reason & 3]; }
-  [[nodiscard]] std::uint64_t dmc() const { return by_reason[kWndqDmc]; }
-  [[nodiscard]] std::uint64_t cmc() const { return by_reason[kWndqCmc]; }
-  [[nodiscard]] std::uint64_t promotion() const {
-    return by_reason[kWndqPromotion];
-  }
-  void merge(const AvoidedLedger& o) {
-    for (int r = 0; r < 4; ++r) by_reason[r] += o.by_reason[r];
+// Counts of Algorithms 4/6 for one chunk, thread or run: the MC census,
+// queries, unions, wndq tags, and the per-reason skip totals of the
+// Algorithm 6 skip site. Each point is tested there exactly once, so
+// queries + avoided[*] == n.
+struct Tally {
+  std::uint64_t dmc = 0, cmc = 0, smc = 0;
+  std::uint64_t queries = 0, unions = 0, wndq = 0;
+  std::uint64_t avoided[4] = {};  // indexed by WndqReason
+  void merge(const Tally& o) {
+    dmc += o.dmc;
+    cmc += o.cmc;
+    smc += o.smc;
+    queries += o.queries;
+    unions += o.unions;
+    wndq += o.wndq;
+    for (int r = 0; r < 4; ++r) avoided[r] += o.avoided[r];
   }
 };
 
@@ -117,24 +117,44 @@ void MuDbscanEngine::find_reachable() {
   stats.t_reach = timer.seconds();
 }
 
+// Algorithms 4 + 6: one code path at every thread count (full argument in
+// docs/PARALLEL.md). Sketch:
+//   * Algorithm 4 runs over MCs: every point belongs to exactly one MC, so
+//     member flag writes are exclusive to the thread owning the MC; only the
+//     lock-free union-find is shared.
+//   * Algorithm 6 runs over points. Core points publish is_core_ with
+//     seq_cst BEFORE scanning their neighborhood; for any two
+//     concurrently-queried core neighbors the store/load pattern is Dekker's,
+//     so at least one side observes the other and performs the union. Border
+//     points are claimed with an atomic exchange on assigned_ (exactly one
+//     core adopts an unassigned non-core neighbor — the classic parallel
+//     DBSCAN border race). Missed late-promoted cores are repaired by
+//     Algorithms 7/8.
+//   * Counts and the provisional-noise CSR go to per-thread accumulators
+//     merged in tid order after the join. With no pool the loops run inline
+//     over ascending chunks into one accumulator, so a one-thread run makes
+//     the same unions in the same order and lists noise in point order.
 void MuDbscanEngine::cluster() {
-  if (pool_) {
-    cluster_parallel();
-    return;
-  }
   obs::Span phase_span(cfg_.tracer, "phase.cluster");
   WallTimer timer;
   const std::size_t n = ds_->size();
   const double eps = params_.eps;
   const double half2 = (eps / 2.0) * (eps / 2.0);
   const std::uint32_t min_pts = params_.min_pts;
-  // Hot-loop counters accumulate in locals and publish to the registry once
-  // per phase; only the per-query histogram observation hits the registry
-  // inside the loop (a TLS lookup + a few relaxed stores, dwarfed by the
-  // tree descent it accounts for).
-  std::uint64_t unions = 0;
-  std::uint64_t noise_provisional = 0;
-  AvoidedLedger avoided;
+
+  // Hot counters live in a chunk-local Tally and are added to the thread's
+  // accumulator once per chunk: the atomic byte accesses below may alias any
+  // escaped memory, so a counter behind a reference would be reloaded and
+  // stored on every iteration.
+  struct alignas(64) Accum {
+    Tally tally;
+    // Provisional noise (Algorithm 8 input) in the engine's CSR layout.
+    std::vector<PointId> noise_pts;
+    std::vector<std::uint32_t> noise_off{0};
+    std::vector<PointId> noise_nbrs;
+    std::vector<std::pair<PointId, double>> nbhd;  // query scratch
+  };
+  std::vector<Accum> acc(pool_ ? pool_->num_threads() : 1);
 
   // --- Algorithm 4: PROCESS-MICRO-CLUSTERS ------------------------------
   // DMC: every inner-circle point is core (Lemma 1) and so is the centre
@@ -142,240 +162,61 @@ void MuDbscanEngine::cluster() {
   // (Lemma 2). Either way all members are united with the centre — they are
   // directly density-reachable from it.
   obs::Span alg4_span(cfg_.tracer, "alg4.process_mcs");
-  for (McId z = 0; z < tree_->num_mcs(); ++z) {
-    if (guard_ && z % kSeqCheckStride == 0)
-      guard_->check_throw("algorithm 4");
-    const MicroCluster& mc = tree_->mc(z);
-    const McKind kind = mc.classify(min_pts);
-    if (kind == McKind::Sparse) {
-      ++stats.smc;
-      continue;
-    }
-    if (kind == McKind::Dense) {
-      ++stats.dmc;
-      const double* c = ds_->ptr(mc.center);
-      for (PointId q : mc.members) {
-        if (q != mc.center &&
-            sq_dist(c, ds_->ptr(q), ds_->dim()) >= half2)
-          continue;  // outside the inner circle: border for the time being
-        if (!wndq_[q]) {
-          wndq_[q] = kWndqDmc;
-          is_core_[q] = 1;
-          ++stats.wndq_core_points;
-        }
-      }
-    } else {  // Core MC
-      ++stats.cmc;
-      if (!wndq_[mc.center]) {
-        wndq_[mc.center] = kWndqCmc;
-        is_core_[mc.center] = 1;
-        ++stats.wndq_core_points;
-      }
-    }
-    for (PointId q : mc.members) {
-      uf_.union_sets(mc.center, q);
-      assigned_[q] = 1;
-    }
-    unions += mc.members.size();
-  }
-  alg4_span.end();
-
-  // --- Algorithm 6: PROCESS-REM-POINTS ----------------------------------
-  obs::Span alg6_span(cfg_.tracer, "alg6.process_rem_points");
-  std::vector<std::pair<PointId, double>> nbhd;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (guard_ && i % kSeqCheckStride == 0)
-      guard_->check_throw("algorithm 6");
-    const PointId p = static_cast<PointId>(i);
-    if (wndq_[p]) {  // query saved; ledger by reason code
-      avoided.count(wndq_[p]);
-      continue;
-    }
-    ++stats.queries_performed;
-
-    nbhd.clear();
-    tree_->query_neighborhood(p, eps, nbhd, cfg_.mbr_filtration);
-    metrics_.observe(obs::Hist::kNeighborCount, nbhd.size());
-
-    if (nbhd.size() < min_pts) {
-      // Non-core: border if some already-known core is in range, otherwise
-      // provisional noise with the neighborhood remembered for Algorithm 8.
-      bool attached = assigned_[p] != 0;
-      if (!attached) {
-        for (const auto& [q, d2] : nbhd) {
-          if (is_core_[q]) {
-            uf_.union_sets(q, p);
-            ++unions;
-            assigned_[p] = 1;
-            attached = true;
-            break;
-          }
-        }
-      }
-      if (!attached) {
-        ++noise_provisional;
-        noise_pts_.push_back(p);
-        for (const auto& [q, d2] : nbhd)
-          if (q != p) noise_nbrs_.push_back(q);
-        noise_off_.push_back(static_cast<std::uint32_t>(noise_nbrs_.size()));
-      }
-      continue;
-    }
-
-    // Core point.
-    is_core_[p] = 1;
-    assigned_[p] = 1;
-
-    // Dynamic wndq promotion (Algorithm 6 lines 18-21): if >= MinPts of the
-    // neighbors sit strictly within eps/2 of p, they are pairwise strictly
-    // within eps of each other, so each of them is core — no query needed.
-    if (cfg_.dynamic_promotion) {
-      std::size_t inner = 0;
-      for (const auto& [q, d2] : nbhd)
-        if (d2 < half2) ++inner;
-      if (inner >= min_pts) {
-        for (const auto& [q, d2] : nbhd) {
-          if (d2 < half2 && !is_core_[q]) {
-            is_core_[q] = 1;
-            if (!wndq_[q]) {
-              wndq_[q] = kWndqPromotion;
-              ++stats.wndq_core_points;
-            }
-          }
-        }
-      }
-    }
-
-    for (const auto& [q, d2] : nbhd) {
-      if (is_core_[q]) {
-        uf_.union_sets(p, q);
-        ++unions;
-        assigned_[q] = 1;
-      } else if (!assigned_[q]) {
-        uf_.union_sets(p, q);
-        ++unions;
-        assigned_[q] = 1;
-      }
-    }
-  }
-  stats.avoided_dmc = avoided.dmc();
-  stats.avoided_cmc = avoided.cmc();
-  stats.avoided_promotion = avoided.promotion();
-  metrics_.add(obs::Counter::kQueriesPerformed, stats.queries_performed);
-  metrics_.add(obs::Counter::kQueriesAvoidedDmc, avoided.dmc());
-  metrics_.add(obs::Counter::kQueriesAvoidedCmc, avoided.cmc());
-  metrics_.add(obs::Counter::kQueriesAvoidedPromotion, avoided.promotion());
-  metrics_.add(obs::Counter::kMcDense, stats.dmc);
-  metrics_.add(obs::Counter::kMcCore, stats.cmc);
-  metrics_.add(obs::Counter::kMcSparse, stats.smc);
-  metrics_.add(obs::Counter::kUnionCalls, unions);
-  metrics_.add(obs::Counter::kNoiseProvisional, noise_provisional);
-  charge_scratch();
-  stats.t_cluster = timer.seconds();
-}
-
-// Thread-parallel Algorithms 4 + 6, exact-equivalent to the sequential path
-// above (full argument in docs/PARALLEL.md). Sketch:
-//   * Algorithm 4 parallelizes over MCs: every point belongs to exactly one
-//     MC, so member flag writes are exclusive to the owning thread; only the
-//     lock-free union-find is shared.
-//   * Algorithm 6 parallelizes over points. Core points publish is_core_
-//     with seq_cst BEFORE scanning their neighborhood; for any two
-//     concurrently-queried core neighbors the store/load pattern is Dekker's,
-//     so at least one side observes the other and performs the union. Border
-//     points are claimed with an atomic exchange on assigned_ (exactly one
-//     core adopts an unassigned non-core neighbor — the classic parallel
-//     DBSCAN border race). Missed late-promoted cores are repaired by
-//     Algorithms 7/8 exactly as in the sequential engine.
-//   * wndq counts and the provisional-noise CSR go to per-thread accumulators
-//     merged after the join, so the Algorithm 8 input keeps its layout.
-void MuDbscanEngine::cluster_parallel() {
-  obs::Span phase_span(cfg_.tracer, "phase.cluster");
-  WallTimer timer;
-  const std::size_t n = ds_->size();
-  const double eps = params_.eps;
-  const double half2 = (eps / 2.0) * (eps / 2.0);
-  const std::uint32_t min_pts = params_.min_pts;
-  ThreadPool* pool = pool_.get();
-  const unsigned nt = pool->num_threads();
-
-  // --- Algorithm 4 (parallel over MCs) ----------------------------------
-  obs::Span alg4_span(cfg_.tracer, "alg4.process_mcs");
-  struct alignas(64) McAccum {
-    std::uint64_t dmc = 0, cmc = 0, smc = 0;
-    std::uint64_t unions = 0;
-    std::uint64_t wndq = 0;
-  };
-  std::vector<McAccum> mc_acc(nt);
   parallel_for_chunked(
-      pool, tree_->num_mcs(), 16,
+      pool_.get(), tree_->num_mcs(), 16,
       [&](std::size_t begin, std::size_t end, unsigned tid) {
-        McAccum& acc = mc_acc[tid];
+        Tally t;
         for (std::size_t zi = begin; zi < end; ++zi) {
           const MicroCluster& mc = tree_->mc(static_cast<McId>(zi));
           const McKind kind = mc.classify(min_pts);
           if (kind == McKind::Sparse) {
-            ++acc.smc;
+            ++t.smc;
             continue;
           }
           if (kind == McKind::Dense) {
-            ++acc.dmc;
+            ++t.dmc;
             const double* c = ds_->ptr(mc.center);
             for (PointId q : mc.members) {
               if (q != mc.center &&
                   sq_dist(c, ds_->ptr(q), ds_->dim()) >= half2)
-                continue;
+                continue;  // outside the inner circle: border for now
               // q is exclusive to this MC (hence this thread): plain writes.
               if (!wndq_[q]) {
                 wndq_[q] = kWndqDmc;
                 is_core_[q] = 1;
-                ++acc.wndq;
+                ++t.wndq;
               }
             }
           } else {  // Core MC
-            ++acc.cmc;
+            ++t.cmc;
             if (!wndq_[mc.center]) {
               wndq_[mc.center] = kWndqCmc;
               is_core_[mc.center] = 1;
-              ++acc.wndq;
+              ++t.wndq;
             }
           }
           for (PointId q : mc.members) {
             uf_.union_sets(mc.center, q);
             assigned_[q] = 1;
           }
-          acc.unions += mc.members.size();
+          t.unions += mc.members.size();
         }
+        acc[tid].tally.merge(t);
       },
       guard_);
-  std::uint64_t unions = 0;
-  for (const McAccum& acc : mc_acc) {
-    stats.dmc += acc.dmc;
-    stats.cmc += acc.cmc;
-    stats.smc += acc.smc;
-    unions += acc.unions;
-    stats.wndq_core_points += acc.wndq;
-  }
   alg4_span.end();
 
-  // --- Algorithm 6 (parallel over points) -------------------------------
+  // --- Algorithm 6: PROCESS-REM-POINTS ----------------------------------
+  // Every byte flag starts 0 and is only ever set to a nonzero value, so a
+  // relaxed load that already sees it set stands in for the exchange or
+  // compare-exchange (which could only fail).
   obs::Span alg6_span(cfg_.tracer, "alg6.process_rem_points");
-  struct alignas(64) PtAccum {
-    std::uint64_t queries = 0;
-    std::uint64_t unions = 0;
-    std::uint64_t wndq = 0;
-    AvoidedLedger avoided;
-    std::vector<PointId> noise_pts;
-    std::vector<std::uint32_t> noise_len;  // neighbors stored per noise point
-    std::vector<PointId> noise_nbrs;
-    std::vector<std::pair<PointId, double>> nbhd;  // query scratch
-  };
-  std::vector<PtAccum> pt_acc(nt);
-
   parallel_for_chunked(
-      pool, n, 64, [&](std::size_t begin, std::size_t end, unsigned tid) {
-        PtAccum& acc = pt_acc[tid];
-        auto& nbhd = acc.nbhd;
+      pool_.get(), n, 64, [&](std::size_t begin, std::size_t end,
+                              unsigned tid) {
+        Accum& a = acc[tid];
+        auto& nbhd = a.nbhd;
+        Tally t;
         for (std::size_t i = begin; i < end; ++i) {
           const PointId p = static_cast<PointId>(i);
           // A concurrent promotion may land after this check — p then runs a
@@ -385,16 +226,19 @@ void MuDbscanEngine::cluster_parallel() {
           const std::uint8_t reason =
               flag(wndq_, p).load(std::memory_order_relaxed);
           if (reason) {
-            acc.avoided.count(reason);
+            ++t.avoided[reason & 3];
             continue;
           }
-          ++acc.queries;
+          ++t.queries;
 
           nbhd.clear();
           tree_->query_neighborhood(p, eps, nbhd, cfg_.mbr_filtration);
           metrics_.observe(obs::Hist::kNeighborCount, nbhd.size());
 
           if (nbhd.size() < min_pts) {
+            // Non-core: border if some already-known core is in range,
+            // otherwise provisional noise with the neighborhood remembered
+            // for Algorithm 8.
             bool attached =
                 flag(assigned_, p).load(std::memory_order_acquire) != 0;
             if (!attached) {
@@ -407,7 +251,7 @@ void MuDbscanEngine::cluster_parallel() {
                   if (!flag(assigned_, p)
                            .exchange(1, std::memory_order_acq_rel)) {
                     uf_.union_sets(q, p);
-                    ++acc.unions;
+                    ++t.unions;
                   }
                   attached = true;
                   break;
@@ -418,14 +262,11 @@ void MuDbscanEngine::cluster_parallel() {
               // Conservative: a neighbor may become core after this scan;
               // Algorithm 8 re-checks the stored neighborhood against the
               // final core flags and repairs the label.
-              acc.noise_pts.push_back(p);
-              std::uint32_t len = 0;
+              a.noise_pts.push_back(p);
               for (const auto& [q, d2] : nbhd)
-                if (q != p) {
-                  acc.noise_nbrs.push_back(q);
-                  ++len;
-                }
-              acc.noise_len.push_back(len);
+                if (q != p) a.noise_nbrs.push_back(q);
+              a.noise_off.push_back(
+                  static_cast<std::uint32_t>(a.noise_nbrs.size()));
             }
             continue;
           }
@@ -435,26 +276,29 @@ void MuDbscanEngine::cluster_parallel() {
           flag(is_core_, p).store(1, std::memory_order_seq_cst);
           flag(assigned_, p).store(1, std::memory_order_release);
 
+          // Dynamic wndq promotion (Algorithm 6 lines 18-21): if >= MinPts
+          // of the neighbors sit strictly within eps/2 of p, they are
+          // pairwise strictly within eps of each other, so each of them is
+          // core — no query needed.
           if (cfg_.dynamic_promotion) {
             std::size_t inner = 0;
             for (const auto& [q, d2] : nbhd)
               if (d2 < half2) ++inner;
             if (inner >= min_pts) {
               for (const auto& [q, d2] : nbhd) {
-                if (d2 >= half2) continue;
-                const bool was_core =
-                    flag(is_core_, q).exchange(1, std::memory_order_seq_cst);
-                if (!was_core) {
-                  // Claim the tag only if untagged (compare-exchange from 0,
-                  // not a blind exchange): an Algorithm 4 DMC/CMC reason is
-                  // never overwritten, keeping the dmc/cmc ledger counts
-                  // deterministic at every thread count.
-                  std::uint8_t expected = kWndqNone;
-                  if (flag(wndq_, q).compare_exchange_strong(
-                          expected, kWndqPromotion,
-                          std::memory_order_relaxed))
-                    ++acc.wndq;
-                }
+                if (d2 >= half2 ||
+                    flag(is_core_, q).load(std::memory_order_relaxed) ||
+                    flag(is_core_, q).exchange(1, std::memory_order_seq_cst))
+                  continue;
+                // Claim the tag only if untagged (compare-exchange from 0,
+                // not a blind exchange): an Algorithm 4 DMC/CMC reason is
+                // never overwritten, keeping the dmc/cmc ledger counts
+                // deterministic at every thread count.
+                std::uint8_t expected = kWndqNone;
+                if (!flag(wndq_, q).load(std::memory_order_relaxed) &&
+                    flag(wndq_, q).compare_exchange_strong(
+                        expected, kWndqPromotion, std::memory_order_relaxed))
+                  ++t.wndq;
               }
             }
           }
@@ -462,18 +306,20 @@ void MuDbscanEngine::cluster_parallel() {
           for (const auto& [q, d2] : nbhd) {
             if (flag(is_core_, q).load(std::memory_order_seq_cst)) {
               uf_.union_sets(p, q);
-              ++acc.unions;
+              ++t.unions;
               flag(assigned_, q).store(1, std::memory_order_release);
-            } else if (!flag(assigned_, q)
+            } else if (!flag(assigned_, q).load(std::memory_order_relaxed) &&
+                       !flag(assigned_, q)
                             .exchange(1, std::memory_order_acq_rel)) {
               // Atomically adopted q as this cluster's border point; exactly
               // one core wins this exchange (the parallel-DBSCAN border
-              // race), mirroring the sequential first-claimer rule.
+              // race), so the first claimer keeps it.
               uf_.union_sets(p, q);
-              ++acc.unions;
+              ++t.unions;
             }
           }
         }
+        a.tally.merge(t);
       },
       guard_);
   alg6_span.end();
@@ -484,43 +330,52 @@ void MuDbscanEngine::cluster_parallel() {
   ScopedCharge thread_scratch;
   if (guard_) {
     std::size_t scratch_bytes = 0;
-    for (const PtAccum& acc : pt_acc)
-      scratch_bytes += vector_bytes(acc.noise_pts) +
-                       vector_bytes(acc.noise_len) +
-                       vector_bytes(acc.noise_nbrs) + vector_bytes(acc.nbhd);
+    for (const Accum& a : acc)
+      scratch_bytes += vector_bytes(a.noise_pts) + vector_bytes(a.noise_off) +
+                       vector_bytes(a.noise_nbrs) + vector_bytes(a.nbhd);
     thread_scratch.acquire_throw(guard_, scratch_bytes,
                                  "per-thread scratch buffers");
   }
 
-  AvoidedLedger avoided;
-  std::uint64_t noise_provisional = 0;
-  for (PtAccum& acc : pt_acc) {
-    stats.queries_performed += acc.queries;
-    avoided.merge(acc.avoided);
-    unions += acc.unions;
-    noise_provisional += acc.noise_pts.size();
-    stats.wndq_core_points += acc.wndq;
-    noise_pts_.insert(noise_pts_.end(), acc.noise_pts.begin(),
-                      acc.noise_pts.end());
-    noise_nbrs_.insert(noise_nbrs_.end(), acc.noise_nbrs.begin(),
-                       acc.noise_nbrs.end());
-    for (std::uint32_t len : acc.noise_len)
-      noise_off_.push_back(noise_off_.back() + len);
+  // Merge in tid order. Until some thread's noise has landed, the
+  // accumulator's CSR is moved in whole (the only merge at one thread).
+  Tally total;
+  for (Accum& a : acc) {
+    total.merge(a.tally);
+    if (noise_pts_.empty()) {
+      noise_pts_ = std::move(a.noise_pts);
+      noise_off_ = std::move(a.noise_off);
+      noise_nbrs_ = std::move(a.noise_nbrs);
+      continue;
+    }
+    const std::uint32_t base = noise_off_.back();
+    noise_pts_.insert(noise_pts_.end(), a.noise_pts.begin(),
+                      a.noise_pts.end());
+    for (std::size_t j = 1; j < a.noise_off.size(); ++j)
+      noise_off_.push_back(base + a.noise_off[j]);
+    noise_nbrs_.insert(noise_nbrs_.end(), a.noise_nbrs.begin(),
+                       a.noise_nbrs.end());
   }
-  stats.avoided_dmc = avoided.dmc();
-  stats.avoided_cmc = avoided.cmc();
-  stats.avoided_promotion = avoided.promotion();
+  stats.dmc = total.dmc;
+  stats.cmc = total.cmc;
+  stats.smc = total.smc;
+  stats.wndq_core_points = total.wndq;
+  stats.queries_performed = total.queries;
+  stats.avoided_dmc = total.avoided[kWndqDmc];
+  stats.avoided_cmc = total.avoided[kWndqCmc];
+  stats.avoided_promotion = total.avoided[kWndqPromotion];
   // Single post-join publish: the registry merge order is the deterministic
   // accumulator order above, not worker scheduling.
-  metrics_.add(obs::Counter::kQueriesPerformed, stats.queries_performed);
-  metrics_.add(obs::Counter::kQueriesAvoidedDmc, avoided.dmc());
-  metrics_.add(obs::Counter::kQueriesAvoidedCmc, avoided.cmc());
-  metrics_.add(obs::Counter::kQueriesAvoidedPromotion, avoided.promotion());
-  metrics_.add(obs::Counter::kMcDense, stats.dmc);
-  metrics_.add(obs::Counter::kMcCore, stats.cmc);
-  metrics_.add(obs::Counter::kMcSparse, stats.smc);
-  metrics_.add(obs::Counter::kUnionCalls, unions);
-  metrics_.add(obs::Counter::kNoiseProvisional, noise_provisional);
+  metrics_.add(obs::Counter::kQueriesPerformed, total.queries);
+  metrics_.add(obs::Counter::kQueriesAvoidedDmc, stats.avoided_dmc);
+  metrics_.add(obs::Counter::kQueriesAvoidedCmc, stats.avoided_cmc);
+  metrics_.add(obs::Counter::kQueriesAvoidedPromotion,
+               stats.avoided_promotion);
+  metrics_.add(obs::Counter::kMcDense, total.dmc);
+  metrics_.add(obs::Counter::kMcCore, total.cmc);
+  metrics_.add(obs::Counter::kMcSparse, total.smc);
+  metrics_.add(obs::Counter::kUnionCalls, total.unions);
+  metrics_.add(obs::Counter::kNoiseProvisional, noise_pts_.size());
   charge_scratch();
   stats.t_cluster = timer.seconds();
 }

@@ -27,12 +27,12 @@ struct MuDbscanConfig {
   bool dynamic_promotion = true;   // Algorithm 6 lines 18-21
   bool mbr_filtration = true;      // reachable-MC MBR filter in FIND-NBHD
 
-  // Real shared-memory parallelism (paper Section VII). 1 = the sequential
-  // engine, byte-for-byte the previous behavior. >1 runs the AuxR-tree
-  // tiling, inner-circle/reachable computation, the Algorithm 6 query loop,
-  // and both post-processing passes on a thread pool of this size, with a
-  // lock-free union-find; the clustering stays exactly equal to sequential
-  // DBSCAN at every thread count (see docs/PARALLEL.md).
+  // Real shared-memory parallelism (paper Section VII). >1 runs the
+  // AuxR-tree tiling, inner-circle/reachable computation, Algorithms 4/6 and
+  // both post-processing passes on a thread pool of this size, with a
+  // lock-free union-find. 1 runs the same loops inline, without a pool. The
+  // clustering stays exactly equal to sequential DBSCAN at every thread
+  // count (see docs/PARALLEL.md).
   //
   // Stats determinism at num_threads > 1: num_mcs, dmc/cmc/smc, avoided_dmc
   // and avoided_cmc are identical at every thread count (Algorithm 4 writes

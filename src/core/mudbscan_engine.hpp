@@ -1,6 +1,6 @@
 // The µDBSCAN engine: the four algorithm phases as separately invokable
 // steps, with the union-find structure, flags, and µR-tree exposed. The
-// sequential entry point (mu_dbscan in mudbscan.hpp) is a thin wrapper; the
+// single-process entry point (mu_dbscan in mudbscan.hpp) is a thin wrapper; the
 // distributed implementation (dist/mudbscan_d) drives the engine on each
 // rank's halo-augmented local dataset and then reads the internals to build
 // its cross-rank merge edges.
@@ -38,6 +38,8 @@ class MuDbscanEngine {
 
   // Algorithms 4 + 6: preliminary clusters from DMC/CMC classification, then
   // PROCESS-REM-POINTS with dynamic wndq promotion. Fills stats.t_cluster.
+  // Like post_process(), one code path at every thread count: without a
+  // pool (num_threads == 1) its loops run inline (docs/PARALLEL.md).
   void cluster();
 
   // Algorithms 7 + 8: POST-PROCESSING-CORE (per micro-cluster pair) and
@@ -83,8 +85,8 @@ class MuDbscanEngine {
     return metrics_.snapshot();
   }
 
-  // Per-worker busy/jobs totals of the engine's pool; empty for the
-  // sequential engine (num_threads == 1).
+  // Per-worker busy/jobs totals of the engine's pool; empty without a pool
+  // (num_threads == 1).
   [[nodiscard]] std::vector<ThreadPool::WorkerStats> worker_stats() const {
     return pool_ ? pool_->worker_stats()
                  : std::vector<ThreadPool::WorkerStats>{};
@@ -93,12 +95,6 @@ class MuDbscanEngine {
   MuDbscanStats stats;
 
  private:
-  // Thread-parallel variant of cluster() (cfg_.num_threads > 1):
-  // exact-equivalent to the sequential code path, see docs/PARALLEL.md for
-  // the decomposition and the determinism argument. post_process() has one
-  // code path for every thread count.
-  void cluster_parallel();
-
   // Trues up the budget charge for the engine-owned provisional-noise CSR
   // after the clustering phase sized it.
   void charge_scratch();

@@ -43,8 +43,8 @@ namespace udb::obs {
 // ---------------------------------------------------------------------------
 
 enum class Counter : std::uint32_t {
-  // Query-avoidance ledger (the paper's central cost model). For the
-  // sequential engine these four sum to exactly n; at num_threads > 1 only
+  // Query-avoidance ledger (the paper's central cost model). These four sum
+  // to exactly n at every thread count; across thread counts only
   // kQueriesPerformed <-> kQueriesAvoidedPromotion can trade one-for-one.
   kQueriesPerformed = 0,       // epsilon-neighborhood queries actually run
   kQueriesAvoidedDmc,          // skipped: point in a dense micro-cluster

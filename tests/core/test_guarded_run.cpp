@@ -150,20 +150,23 @@ TEST(GuardedRun, CancellationNeverDegrades) {
 }
 
 TEST(GuardedRun, CancellationFromAnotherThreadStopsParallelRun) {
-  // A watcher thread trips the token while the 4-thread engine runs; the
-  // engine must come back CANCELLED (it observes the token at the next
-  // chunk checkpoint — the per-chunk latency bound is asserted directly in
-  // test_runguard.cpp).
+  // A watcher thread trips the token while the engine runs; the engine must
+  // come back CANCELLED (it observes the token at the next chunk checkpoint
+  // — the per-chunk latency bound is asserted directly in
+  // test_runguard.cpp). One thread runs the same chunked loops inline, so
+  // it must stop the same way.
   const Dataset ds = gen_blobs(20000, 3, 5, 100.0, 3.0, 0.05, 11);
-  GuardedRunOptions opts;
-  opts.mu.num_threads = 4;
-  RunGuard guard;
-  std::thread watcher([&guard] { guard.request_cancel(); });
-  auto run = run_guarded(ds, DbscanParams{2.0, 5}, opts, &guard);
-  watcher.join();
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.status().code(), StatusCode::kCancelled);
-  EXPECT_EQ(guard.bytes_in_use(), 0u);
+  for (const unsigned nt : {1u, 4u}) {
+    GuardedRunOptions opts;
+    opts.mu.num_threads = nt;
+    RunGuard guard;
+    std::thread watcher([&guard] { guard.request_cancel(); });
+    auto run = run_guarded(ds, DbscanParams{2.0, 5}, opts, &guard);
+    watcher.join();
+    ASSERT_FALSE(run.ok()) << "threads=" << nt;
+    EXPECT_EQ(run.status().code(), StatusCode::kCancelled) << nt;
+    EXPECT_EQ(guard.bytes_in_use(), 0u) << nt;
+  }
 }
 
 TEST(GuardedRun, DistributedDeadlineSurfacesCleanStatus) {

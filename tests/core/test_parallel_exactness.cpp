@@ -78,6 +78,15 @@ TEST_P(ParallelExactness, EveryThreadCountMatchesSequential) {
       // Promotion races can only save queries relative to an adversarial
       // schedule, never exceed one query per point.
       EXPECT_LE(st.queries_performed, ds.size()) << nt;
+      // DMC/CMC tags are claimed in Algorithm 4 before any promotion and
+      // never overwritten, so their avoidance counts do not depend on the
+      // schedule; every point is either queried or skipped exactly once.
+      EXPECT_EQ(st.avoided_dmc, seq_st.avoided_dmc) << nt;
+      EXPECT_EQ(st.avoided_cmc, seq_st.avoided_cmc) << nt;
+      EXPECT_EQ(st.queries_performed + st.avoided_dmc + st.avoided_cmc +
+                    st.avoided_promotion,
+                ds.size())
+          << nt;
     }
   }
 }

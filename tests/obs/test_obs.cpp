@@ -533,7 +533,7 @@ TEST(CommStatsObs, SnapshotSubtract) {
 }
 
 // The paper's cost-model identity as an end-to-end invariant: for the
-// sequential engine every point either runs its neighborhood query or is
+// one-thread engine every point either runs its neighborhood query or is
 // skipped for exactly one ledger reason, so performed + avoided == n.
 TEST(LedgerIntegration, SequentialLedgerSumsToN) {
   const std::size_t n = 2000;

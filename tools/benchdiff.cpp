@@ -1,7 +1,8 @@
 // benchdiff — the perf regression gate: compares a fresh bench JSON artifact
 // against the committed baseline (BENCH_serve.json / BENCH_kernel.json /
-// BENCH_multicore.json) with per-metric tolerances, so CI can fail a PR that
-// quietly slows the serving path or the SIMD kernels.
+// BENCH_multicore.json / BENCH_update.json / BENCH_table2.json) with
+// per-metric tolerances, so CI can fail a PR that quietly slows the serving
+// path or the SIMD kernels, or changes the engine's work.
 //
 //   $ benchdiff --baseline BENCH_serve.json --fresh build/serve.json
 //   $ benchdiff --baseline BENCH_kernel.json --fresh f.json --speedup-tolerance 0.30
@@ -20,6 +21,11 @@
 //                     query ledger (performed / avoided) must match the
 //                     baseline bit-for-bit — the counts are deterministic, so
 //                     any drift means the algorithm changed.
+//   table2_sequential correctness gate at one scale: every fresh dataset
+//                     row must report exact=true, and its deterministic
+//                     µDBSCAN counts (n, num_mcs, queries performed /
+//                     avoided, union calls, provisional noise) must match
+//                     the baseline bit-for-bit. Timings are reported only.
 //   update_throughput every workload's speedup_vs_refit must be
 //                     >= baseline * (1 - tol), tol --speedup-tolerance, and
 //                     every fresh workload must report exact=true (the
@@ -96,6 +102,15 @@ bool same_config(const json::Value& a, const json::Value& b,
   return true;
 }
 
+// The element of array `arr` whose "name" field equals `name`, or null.
+const json::Value* find_named(const json::Value& arr, const std::string& name) {
+  for (const json::Value& cand : arr.array) {
+    const json::Value* n = cand.find("name");
+    if (n != nullptr && n->is_string() && n->string == name) return &cand;
+  }
+  return nullptr;
+}
+
 double pct(double base, double fresh) {
   return base == 0.0 ? 0.0 : 100.0 * (fresh - base) / base;
 }
@@ -121,14 +136,7 @@ void diff_serve(const json::Value& base, const json::Value& fresh,
   for (const json::Value& bphase : bp->array) {
     const std::string name =
         bphase.find("name") ? bphase.find("name")->string_or("?") : "?";
-    const json::Value* fphase = nullptr;
-    for (const json::Value& cand : fp->array) {
-      const json::Value* n = cand.find("name");
-      if (n != nullptr && n->is_string() && n->string == name) {
-        fphase = &cand;
-        break;
-      }
-    }
+    const json::Value* fphase = find_named(*fp, name);
     if (fphase == nullptr) {
       std::printf("serve: phase %-16s missing from fresh run — not "
                   "comparable\n",
@@ -251,14 +259,7 @@ void diff_multicore(const json::Value& base, const json::Value& fresh,
   for (const json::Value& bds : bd->array) {
     const std::string name =
         bds.find("name") ? bds.find("name")->string_or("?") : "?";
-    const json::Value* fds = nullptr;
-    for (const json::Value& cand : fd->array) {
-      const json::Value* n = cand.find("name");
-      if (n != nullptr && n->is_string() && n->string == name) {
-        fds = &cand;
-        break;
-      }
-    }
+    const json::Value* fds = find_named(*fd, name);
     if (fds == nullptr) {
       std::printf("multicore: dataset %-12s missing from fresh run — not "
                   "comparable\n",
@@ -301,6 +302,71 @@ void diff_multicore(const json::Value& base, const json::Value& fresh,
   }
 }
 
+// ---- table2_sequential ----------------------------------------------------
+
+void diff_table2(const json::Value& base, const json::Value& fresh,
+                 Gate& gate) {
+  if (!same_config(base, fresh, {"scale"})) {
+    std::printf("table2: bench scales differ — not comparable\n");
+    gate.note(Outcome::kIncomparable);
+    return;
+  }
+  const json::Value* bd = base.find("datasets");
+  const json::Value* fd = fresh.find("datasets");
+  if (bd == nullptr || !bd->is_array() || fd == nullptr || !fd->is_array()) {
+    std::printf("table2: missing datasets array — not comparable\n");
+    gate.note(Outcome::kIncomparable);
+    return;
+  }
+  for (const json::Value& brow : bd->array) {
+    const std::string name =
+        brow.find("name") ? brow.find("name")->string_or("?") : "?";
+    const json::Value* frow = find_named(*fd, name);
+    if (frow == nullptr) {
+      std::printf("table2: dataset %-9s missing from fresh run — not "
+                  "comparable\n",
+                  name.c_str());
+      gate.note(Outcome::kIncomparable);
+      continue;
+    }
+    const json::Value* exact = frow->find("exact");
+    bool pass = exact != nullptr && exact->is_bool() && exact->boolean;
+    if (!pass)
+      std::printf("table2: %-9s fresh µDBSCAN run not exact  REGRESSION\n",
+                  name.c_str());
+    // The µDBSCAN counts are deterministic for a dataset and scale, so any
+    // drift means the algorithm (not the machine) changed.
+    for (const char* key :
+         {"n", "num_mcs", "metrics.query_ledger.queries_performed",
+          "metrics.query_ledger.avoided_total", "metrics.counters.union_calls",
+          "metrics.counters.noise_provisional"}) {
+      bool ok = true;
+      const double bv = num(brow, key, ok), fv = num(*frow, key, ok);
+      if (!ok || bv != fv) {
+        std::printf("table2: %-9s %s %12.0f -> %12.0f  REGRESSION\n",
+                    name.c_str(), key, bv, fv);
+        pass = false;
+      }
+    }
+    if (!pass) gate.note(Outcome::kRegression);
+    // Timings are reported, not gated: the gate is the work, not the host.
+    std::string timings;
+    for (const char* algo : {"rdbscan", "gdbscan", "griddbscan", "mudbscan"}) {
+      const std::string key = std::string(algo) + "_seconds";
+      bool ok = true;
+      const double bt = num(brow, key.c_str(), ok);
+      const double ft = num(*frow, key.c_str(), ok);
+      char buf[96];
+      if (ok) {
+        std::snprintf(buf, sizeof buf, " %s %.4f->%.4fs", algo, bt, ft);
+        timings += buf;
+      }
+    }
+    std::printf("table2: %-9s exactness and counts %s; informational:%s\n",
+                name.c_str(), pass ? "ok" : "REGRESSION", timings.c_str());
+  }
+}
+
 // ---- update_throughput ----------------------------------------------------
 
 void diff_update(const json::Value& base, const json::Value& fresh,
@@ -322,14 +388,7 @@ void diff_update(const json::Value& base, const json::Value& fresh,
   for (const json::Value& bwl : bw->array) {
     const std::string name =
         bwl.find("name") ? bwl.find("name")->string_or("?") : "?";
-    const json::Value* fwl = nullptr;
-    for (const json::Value& cand : fw->array) {
-      const json::Value* n = cand.find("name");
-      if (n != nullptr && n->is_string() && n->string == name) {
-        fwl = &cand;
-        break;
-      }
-    }
+    const json::Value* fwl = find_named(*fw, name);
     if (fwl == nullptr) {
       std::printf("update: workload %-12s missing from fresh run — not "
                   "comparable\n",
@@ -412,6 +471,8 @@ int main(int argc, char** argv) {
       diff_multicore(base, fresh, gate);
     } else if (bkind == "update_throughput") {
       diff_update(base, fresh, speedup_tol, gate);
+    } else if (bkind == "table2_sequential") {
+      diff_table2(base, fresh, gate);
     } else {
       std::fprintf(stderr, "benchdiff: no comparator for bench '%s'\n",
                    bkind.c_str());
