@@ -7,7 +7,6 @@
 #include "core/murtree.hpp"
 #include "data/generators.hpp"
 #include "index/grid.hpp"
-#include "index/kdtree.hpp"
 #include "index/rtree.hpp"
 
 namespace {
@@ -75,32 +74,6 @@ void BM_MuRTreeEpsQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MuRTreeEpsQuery)->Arg(10000)->Arg(40000)->Arg(100000);
-
-void BM_KdTreeBuild(benchmark::State& state) {
-  const Dataset ds = bench_dataset(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    KdTree tree(ds);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(ds.size()));
-}
-BENCHMARK(BM_KdTreeBuild)->Arg(2000)->Arg(10000)->Arg(40000);
-
-void BM_KdTreeEpsQuery(benchmark::State& state) {
-  const Dataset ds = bench_dataset(static_cast<std::size_t>(state.range(0)));
-  KdTree tree(ds);
-  std::vector<PointId> out;
-  PointId q = 0;
-  for (auto _ : state) {
-    out.clear();
-    tree.query_ball(ds.point(q), 1.0, out);
-    benchmark::DoNotOptimize(out.size());
-    q = static_cast<PointId>((q + 7919) % ds.size());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_KdTreeEpsQuery)->Arg(10000)->Arg(40000)->Arg(100000);
 
 void BM_RTreeBulkLoadStr(benchmark::State& state) {
   const Dataset ds = bench_dataset(static_cast<std::size_t>(state.range(0)));
