@@ -146,7 +146,7 @@ void parallel_for_chunked(ThreadPool* pool, std::size_t n, std::size_t chunk,
       return;
     }
     // Guarded inline path keeps the chunk loop so the one-chunk cancellation
-    // latency bound holds in the sequential engine too.
+    // latency bound holds without a pool too.
     for (std::size_t begin = 0; begin < n; begin += chunk) {
       guard->check_throw("parallel_for_chunked");
       body(begin, std::min(n, begin + chunk), 0);

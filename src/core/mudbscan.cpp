@@ -208,8 +208,8 @@ void MuDbscanEngine::cluster() {
 
   // --- Algorithm 6: PROCESS-REM-POINTS ----------------------------------
   // Every byte flag starts 0 and is only ever set to a nonzero value, so a
-  // relaxed load that already sees it set stands in for the exchange or
-  // compare-exchange (which could only fail).
+  // relaxed load that already sees is_core_ or assigned_ set stands in for
+  // the exchange (which could only return 1).
   obs::Span alg6_span(cfg_.tracer, "alg6.process_rem_points");
   parallel_for_chunked(
       pool_.get(), n, 64, [&](std::size_t begin, std::size_t end,
@@ -293,10 +293,10 @@ void MuDbscanEngine::cluster() {
                 // Claim the tag only if untagged (compare-exchange from 0,
                 // not a blind exchange): an Algorithm 4 DMC/CMC reason is
                 // never overwritten, keeping the dmc/cmc ledger counts
-                // deterministic at every thread count.
+                // deterministic at every thread count. Only the winner of
+                // the is_core_ exchange gets here, so no pre-check.
                 std::uint8_t expected = kWndqNone;
-                if (!flag(wndq_, q).load(std::memory_order_relaxed) &&
-                    flag(wndq_, q).compare_exchange_strong(
+                if (flag(wndq_, q).compare_exchange_strong(
                         expected, kWndqPromotion, std::memory_order_relaxed))
                   ++t.wndq;
               }

@@ -1,5 +1,5 @@
 // The tentpole guarantee of the thread-parallel engine: for every thread
-// count, the clustering is exact-equal to the sequential engine (same core
+// count, the clustering is exact-equal to the one-thread run (same core
 // set, same core partition, same noise set) — which is itself exact-equal to
 // classical DBSCAN (Theorem 1). Each parallel configuration is run several
 // times so racy interleavings get a chance to differ; they must not.
@@ -101,7 +101,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ParallelExactnessExtra, ParallelMatchesBruteForce) {
   // Close the loop once against ground truth, not just against the
-  // sequential engine.
+  // one-thread run.
   Dataset ds = gen_blobs(1200, 2, 4, 80.0, 3.0, 0.2, 77);
   const DbscanParams prm{2.0, 5};
   const auto truth = brute_dbscan(ds, prm);
