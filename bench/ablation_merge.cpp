@@ -36,8 +36,9 @@ int main(int argc, char** argv) {
     for (auto strategy : {MergeStrategy::AllGatherPairs,
                           MergeStrategy::DistributedUnionFind}) {
       MuDbscanDStats st;
-      (void)mudbscan_d(nd.data, nd.params, static_cast<int>(r), &st, {}, {},
-                       strategy);
+      DistConfig cfg;
+      cfg.merge_strategy = strategy;
+      (void)mudbscan_d(nd.data, nd.params, static_cast<int>(r), &st, cfg);
       bench::row("%6lld %-22s | %10.3f %10.3f %8llu %8llu",
                  static_cast<long long>(r),
                  strategy == MergeStrategy::AllGatherPairs

@@ -65,7 +65,9 @@ StatusOr<GuardedRunReport> run_guarded(const Dataset& ds,
   try {
     ds_charge.acquire_throw(guard, vector_bytes(ds.raw()), "dataset");
     if (opts.ranks > 1) {
-      rep.result = mudbscan_d(ds, params, opts.ranks, &rep.dist_stats, mu);
+      DistConfig dist;
+      dist.mu = mu;
+      rep.result = mudbscan_d(ds, params, opts.ranks, &rep.dist_stats, dist);
     } else {
       // Drive the engine directly (not the mu_dbscan wrapper) so the report
       // can also harvest the pool's per-worker stats. Scoped: the engine's

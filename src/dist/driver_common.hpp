@@ -25,22 +25,39 @@ struct LocalSetup {
   double t_halo = 0.0;       // ... and in the halo exchange
 };
 
+// Rank `me`'s contiguous block of the input (the arbitrary pre-partitioning
+// order), the input to kd_partition.
+inline PartitionResult initial_block(const Dataset& global, int me, int p) {
+  const std::size_t n = global.size();
+  const std::size_t dim = global.dim();
+  const std::size_t lo = n * static_cast<std::size_t>(me) /
+                         static_cast<std::size_t>(p);
+  const std::size_t hi = n * (static_cast<std::size_t>(me) + 1) /
+                         static_cast<std::size_t>(p);
+  const auto first = global.raw().begin();
+  PartitionResult out;
+  out.dim = dim;
+  out.coords.assign(first + static_cast<std::ptrdiff_t>(lo * dim),
+                    first + static_cast<std::ptrdiff_t>(hi * dim));
+  out.gids.resize(hi - lo);
+  for (std::size_t i = 0; i < out.gids.size(); ++i) out.gids[i] = lo + i;
+  return out;
+}
+
+// The combined layout every local clustering and the merge index by: local
+// rows first, then the halo copies.
+template <class T>
+std::vector<T> local_then_halo(std::vector<T> local,
+                               const std::vector<T>& halo) {
+  local.insert(local.end(), halo.begin(), halo.end());
+  return local;
+}
+
 inline LocalSetup prepare_local(mpi::Comm& comm, const Dataset& global,
                                 double eps,
                                 const PartitionConfig& pcfg = {}) {
-  const int p = comm.size();
-  const int me = comm.rank();
-  const std::size_t n = global.size();
   const std::size_t dim = global.dim();
-
-  // Contiguous initial blocks (the arbitrary pre-partitioning order).
-  const std::size_t lo = n * static_cast<std::size_t>(me) / static_cast<std::size_t>(p);
-  const std::size_t hi =
-      n * (static_cast<std::size_t>(me) + 1) / static_cast<std::size_t>(p);
-  std::vector<double> coords(global.raw().begin() + static_cast<std::ptrdiff_t>(lo * dim),
-                             global.raw().begin() + static_cast<std::ptrdiff_t>(hi * dim));
-  std::vector<std::uint64_t> gids(hi - lo);
-  for (std::size_t i = 0; i < gids.size(); ++i) gids[i] = lo + i;
+  PartitionResult block = initial_block(global, comm.rank(), comm.size());
 
   // Phase times are this rank's own virtual-time delta; barriers between
   // phases stop one phase's load imbalance from bleeding into the next
@@ -48,8 +65,8 @@ inline LocalSetup prepare_local(mpi::Comm& comm, const Dataset& global,
   // max of these deltas).
   LocalSetup out;
   const double t0 = comm.vtime();
-  PartitionResult part =
-      kd_partition(comm, dim, std::move(coords), std::move(gids), pcfg);
+  PartitionResult part = kd_partition(comm, dim, std::move(block.coords),
+                                      std::move(block.gids), pcfg);
   out.t_partition = comm.vtime() - t0;
   comm.barrier();
 
@@ -59,14 +76,11 @@ inline LocalSetup prepare_local(mpi::Comm& comm, const Dataset& global,
   comm.barrier();
 
   out.n_local = part.gids.size();
-  out.gids = std::move(part.gids);
-  out.gids.insert(out.gids.end(), halo.gids.begin(), halo.gids.end());
+  out.gids = local_then_halo(std::move(part.gids), halo.gids);
   out.halo_owner = std::move(halo.owner);
   out.rank_boxes = std::move(halo.rank_boxes);
-
-  std::vector<double> combined = std::move(part.coords);
-  combined.insert(combined.end(), halo.coords.begin(), halo.coords.end());
-  out.combined = Dataset(dim, std::move(combined));
+  out.combined =
+      Dataset(dim, local_then_halo(std::move(part.coords), halo.coords));
   return out;
 }
 

@@ -23,7 +23,10 @@ inline constexpr mpi::CostModel kIntraNodeCost{1e-7, 5e-11};
 [[nodiscard]] inline ClusteringResult mudbscan_sm(
     const Dataset& data, const DbscanParams& params, int threads,
     MuDbscanDStats* stats = nullptr, const MuDbscanConfig& cfg = {}) {
-  return mudbscan_d(data, params, threads, stats, cfg, kIntraNodeCost);
+  DistConfig dist;
+  dist.mu = cfg;
+  dist.cost = kIntraNodeCost;
+  return mudbscan_d(data, params, threads, stats, dist);
 }
 
 }  // namespace udb

@@ -123,6 +123,15 @@ struct FaultPlan {
   // time a detected timeout costs (the modeled failure-detection latency).
   double recv_timeout_real = 5.0;
   double recv_timeout_vtime = 1e-2;
+
+  // False for a plan that can inject nothing: no crash, no slowdown and all
+  // four message rates zero. Installing such a plan would change only the
+  // recv timeout, so the distributed driver leaves it uninstalled.
+  [[nodiscard]] bool injects_faults() const noexcept {
+    return !crashes.empty() || !slowdowns.empty() || msg.drop_rate > 0.0 ||
+           msg.delay_rate > 0.0 || msg.dup_rate > 0.0 ||
+           msg.corrupt_rate > 0.0;
+  }
 };
 
 // Per-run fault counters (snapshot; the live counters sit in the Runtime).

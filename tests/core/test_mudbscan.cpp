@@ -233,9 +233,9 @@ std::uint64_t expect_alg7_joins(const Dataset& ds, const DbscanParams& prm,
     EXPECT_LE(st.post_core_mc_pairs_skipped, st.post_core_mc_pairs);
   }
   obs::MetricsRegistry reg;
-  MuDbscanConfig cfg;
-  cfg.metrics = &reg;
-  const auto dist = mudbscan_d(ds, prm, 2, nullptr, cfg);
+  DistConfig dcfg;
+  dcfg.mu.metrics = &reg;
+  const auto dist = mudbscan_d(ds, prm, 2, nullptr, dcfg);
   const auto rep = compare_exact(truth, dist);
   EXPECT_TRUE(rep.exact()) << rep.detail << " (mudbscan_d, 2 ranks)";
   return reg.snapshot().counter(obs::Counter::kPostCoreDistanceEvals);

@@ -10,6 +10,7 @@
 #include "dist/hpdbscan_d.hpp"
 #include "dist/mudbscan_d.hpp"
 #include "dist/pdsdbscan_d.hpp"
+#include "rank_records.hpp"
 #include "metrics/exactness.hpp"
 
 namespace udb {
@@ -152,6 +153,7 @@ TEST(Distributed, StatsArePopulated) {
   EXPECT_GT(st.total(), 0.0);
   EXPECT_GT(st.wall_seconds, 0.0);
   EXPECT_GT(st.queries_performed, 0u);
+  expect_rank_records(st, ds.size(), 4);
 }
 
 TEST(Distributed, VirtualMakespanShrinksWithRanks) {

@@ -47,6 +47,14 @@ Dataset make_dataset(const StratCase& c) {
   throw std::logic_error("unknown tag");
 }
 
+constexpr MergeStrategy kDuf = MergeStrategy::DistributedUnionFind;
+
+DistConfig with(MergeStrategy strategy) {
+  DistConfig cfg;
+  cfg.merge_strategy = strategy;
+  return cfg;
+}
+
 class MergeStrategies : public ::testing::TestWithParam<StratCase> {};
 
 TEST_P(MergeStrategies, DistributedUfIsExact) {
@@ -54,8 +62,7 @@ TEST_P(MergeStrategies, DistributedUfIsExact) {
   Dataset ds = make_dataset(c);
   const DbscanParams prm{c.eps, c.min_pts};
   const auto truth = brute_dbscan(ds, prm);
-  const auto got = mudbscan_d(ds, prm, c.ranks, nullptr, {}, {},
-                              MergeStrategy::DistributedUnionFind);
+  const auto got = mudbscan_d(ds, prm, c.ranks, nullptr, with(kDuf));
   const auto rep = compare_exact(truth, got);
   EXPECT_TRUE(rep.exact()) << rep.detail;
 }
@@ -64,10 +71,9 @@ TEST_P(MergeStrategies, StrategiesProduceIdenticalLabels) {
   const auto& c = GetParam();
   Dataset ds = make_dataset(c);
   const DbscanParams prm{c.eps, c.min_pts};
-  const auto ag = mudbscan_d(ds, prm, c.ranks, nullptr, {}, {},
-                             MergeStrategy::AllGatherPairs);
-  const auto duf = mudbscan_d(ds, prm, c.ranks, nullptr, {}, {},
-                              MergeStrategy::DistributedUnionFind);
+  const auto ag = mudbscan_d(ds, prm, c.ranks, nullptr,
+                             with(MergeStrategy::AllGatherPairs));
+  const auto duf = mudbscan_d(ds, prm, c.ranks, nullptr, with(kDuf));
   // Strict equality of raw labels, not merely the same partition: both
   // strategies canonicalize the root to the minimum representative gid.
   EXPECT_EQ(ag.label, duf.label);
@@ -87,15 +93,13 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(MergeStrategies, DistributedUfReportsRounds) {
   Dataset ds = gen_galaxy(800, GalaxyConfig{}, 9);
   MuDbscanDStats st;
-  (void)mudbscan_d(ds, {1.5, 5}, 4, &st, {}, {},
-                   MergeStrategy::DistributedUnionFind);
+  (void)mudbscan_d(ds, {1.5, 5}, 4, &st, with(kDuf));
   EXPECT_GT(st.union_pairs + st.cross_edges, 0u);
 }
 
 TEST(MergeStrategies, SingleRankTrivial) {
   Dataset ds = gen_blobs(300, 2, 3, 40.0, 2.0, 0.1, 11);
-  const auto a = mudbscan_d(ds, {1.5, 5}, 1, nullptr, {}, {},
-                            MergeStrategy::DistributedUnionFind);
+  const auto a = mudbscan_d(ds, {1.5, 5}, 1, nullptr, with(kDuf));
   const auto b = mudbscan_d(ds, {1.5, 5}, 1);
   EXPECT_EQ(a.label, b.label);
 }

@@ -1,4 +1,4 @@
-// Fault-tolerant µDBSCAN-D recovery tests: a rank crash injected at each
+// µDBSCAN-D recovery tests: a rank crash injected at each
 // pipeline phase must still produce the exact DBSCAN clustering (same core
 // set, core partition, and noise set as brute force), on several datasets,
 // with the recovery path the fault model promises (checkpointed recovery for
@@ -11,7 +11,8 @@
 
 #include "baselines/brute_dbscan.hpp"
 #include "data/generators.hpp"
-#include "dist/ft_mudbscan_d.hpp"
+#include "dist/mudbscan_d.hpp"
+#include "rank_records.hpp"
 #include "metrics/exactness.hpp"
 
 namespace udb {
@@ -31,8 +32,8 @@ std::vector<Scenario> scenarios() {
   return out;
 }
 
-FtConfig crash_cfg(int rank, const char* phase) {
-  FtConfig cfg;
+DistConfig crash_cfg(int rank, const char* phase) {
+  DistConfig cfg;
   cfg.plan.seed = 42;
   mpi::CrashSpec crash;
   crash.rank = rank;
@@ -44,9 +45,9 @@ FtConfig crash_cfg(int rank, const char* phase) {
 TEST(FtRecovery, FaultFreeRunIsExactInOneAttempt) {
   for (const Scenario& s : scenarios()) {
     const ClusteringResult want = brute_dbscan(s.data, s.params);
-    FtStats stats;
+    MuDbscanDStats stats;
     const ClusteringResult got =
-        mudbscan_d_ft(s.data, s.params, 4, {}, &stats);
+        mudbscan_d(s.data, s.params, 4, &stats);
     const ExactnessReport rep = compare_exact(want, got);
     EXPECT_TRUE(rep.exact()) << s.name << ": " << rep.detail;
     EXPECT_EQ(stats.attempts, 1);
@@ -62,9 +63,9 @@ TEST(FtRecovery, SingleRankCrashInEachPhaseStaysExact) {
   for (const Scenario& s : scenarios()) {
     const ClusteringResult want = brute_dbscan(s.data, s.params);
     for (const char* phase : phases) {
-      FtStats stats;
+      MuDbscanDStats stats;
       const ClusteringResult got =
-          mudbscan_d_ft(s.data, s.params, 4, crash_cfg(1, phase), &stats);
+          mudbscan_d(s.data, s.params, 4, &stats, crash_cfg(1, phase));
       const ExactnessReport rep = compare_exact(want, got);
       EXPECT_TRUE(rep.exact())
           << s.name << " crash@" << phase << ": " << rep.detail;
@@ -82,8 +83,27 @@ TEST(FtRecovery, SingleRankCrashInEachPhaseStaysExact) {
       // attempts strictly exceeds the successful attempt.
       EXPECT_GT(stats.vtime_total, stats.vtime_final_attempt);
       EXPECT_GT(stats.checkpoint_bytes, 0u);
+      expect_rank_records(stats, s.data.size(), 3);
     }
   }
+}
+
+TEST(FtRecovery, IdlePlanArmsNoRecvTimeout) {
+  // A plan that injects nothing is not installed, so even an absurdly short
+  // recv timeout cannot mistake a slow rank for a dead one.
+  const Dataset data = gen_blobs(700, 2, 5, 100.0, 1.5, 0.05, 1);
+  const DbscanParams params{2.5, 5};
+  DistConfig cfg;
+  cfg.plan.seed = 3;
+  cfg.plan.recv_timeout_real = 1e-6;
+  MuDbscanDStats stats;
+  const ClusteringResult got = mudbscan_d(data, params, 4, &stats, cfg);
+  const ExactnessReport rep = compare_exact(brute_dbscan(data, params), got);
+  EXPECT_TRUE(rep.exact()) << rep.detail;
+  EXPECT_EQ(stats.attempts, 1);
+  EXPECT_EQ(stats.faults.timeouts, 0u);
+  EXPECT_EQ(stats.checkpoint_bytes, 0u);
+  expect_rank_records(stats, data.size(), 4);
 }
 
 TEST(FtRecovery, TwoRankCrashesRecover) {
@@ -91,7 +111,7 @@ TEST(FtRecovery, TwoRankCrashesRecover) {
   const DbscanParams params{2.5, 5};
   const ClusteringResult want = brute_dbscan(data, params);
 
-  FtConfig cfg;
+  DistConfig cfg;
   cfg.plan.seed = 5;
   mpi::CrashSpec a;
   a.rank = 1;
@@ -101,8 +121,8 @@ TEST(FtRecovery, TwoRankCrashesRecover) {
   b.at_point = kFtPointLocal;
   cfg.plan.crashes = {a, b};
 
-  FtStats stats;
-  const ClusteringResult got = mudbscan_d_ft(data, params, 4, cfg, &stats);
+  MuDbscanDStats stats;
+  const ClusteringResult got = mudbscan_d(data, params, 4, &stats, cfg);
   const ExactnessReport rep = compare_exact(want, got);
   EXPECT_TRUE(rep.exact()) << rep.detail;
   EXPECT_EQ(stats.crashed_ranks.size(), 2u);
@@ -114,9 +134,9 @@ TEST(FtRecovery, CrashOnTwoRanksOnlyStillProducesResult) {
   const Dataset data = gen_blobs(400, 2, 3, 80.0, 1.5, 0.05, 9);
   const DbscanParams params{2.5, 5};
   const ClusteringResult want = brute_dbscan(data, params);
-  FtStats stats;
-  const ClusteringResult got = mudbscan_d_ft(
-      data, params, 2, crash_cfg(0, kFtPointLocal), &stats);
+  MuDbscanDStats stats;
+  const ClusteringResult got = mudbscan_d(
+      data, params, 2, &stats, crash_cfg(0, kFtPointLocal));
   const ExactnessReport rep = compare_exact(want, got);
   EXPECT_TRUE(rep.exact()) << rep.detail;
   EXPECT_EQ(stats.survivor_count, 1);
@@ -127,15 +147,15 @@ TEST(FtRecovery, ReliableLossyTransportStaysExactWithoutRestart) {
   const DbscanParams params{2.5, 5};
   const ClusteringResult want = brute_dbscan(data, params);
 
-  FtConfig cfg;
+  DistConfig cfg;
   cfg.plan.seed = 13;
   cfg.plan.reliable = true;
   cfg.plan.msg.drop_rate = 0.1;
   cfg.plan.msg.corrupt_rate = 0.05;
   cfg.plan.msg.dup_rate = 0.05;
 
-  FtStats stats;
-  const ClusteringResult got = mudbscan_d_ft(data, params, 4, cfg, &stats);
+  MuDbscanDStats stats;
+  const ClusteringResult got = mudbscan_d(data, params, 4, &stats, cfg);
   const ExactnessReport rep = compare_exact(want, got);
   EXPECT_TRUE(rep.exact()) << rep.detail;
   EXPECT_EQ(stats.attempts, 1);
@@ -148,9 +168,9 @@ TEST(FtRecovery, CrashedRanksNeverWriteStaleResults) {
   const Dataset data = gen_two_moons(500, 0.04, 11);
   const DbscanParams params{0.08, 5};
   const ClusteringResult want = brute_dbscan(data, params);
-  FtStats stats;
-  const ClusteringResult got = mudbscan_d_ft(
-      data, params, 3, crash_cfg(2, kFtPointMerge), &stats);
+  MuDbscanDStats stats;
+  const ClusteringResult got = mudbscan_d(
+      data, params, 3, &stats, crash_cfg(2, kFtPointMerge));
   ASSERT_EQ(got.label.size(), data.size());
   const ExactnessReport rep = compare_exact(want, got);
   EXPECT_TRUE(rep.exact()) << rep.detail;
@@ -159,19 +179,20 @@ TEST(FtRecovery, CrashedRanksNeverWriteStaleResults) {
 TEST(FtRecovery, AllRanksCrashingThrows) {
   const Dataset data = gen_blobs(200, 2, 2, 50.0, 1.5, 0.05, 4);
   const DbscanParams params{2.5, 5};
-  FtConfig cfg;
+  DistConfig cfg;
   for (int r = 0; r < 2; ++r) {
     mpi::CrashSpec crash;
     crash.rank = r;
     crash.at_point = kFtPointHalo;
     cfg.plan.crashes.push_back(crash);
   }
-  EXPECT_THROW((void)mudbscan_d_ft(data, params, 2, cfg), std::runtime_error);
+  EXPECT_THROW((void)mudbscan_d(data, params, 2, nullptr, cfg),
+               std::runtime_error);
 }
 
 TEST(FtRecovery, RejectsBadRankCount) {
   const Dataset data = gen_blobs(100, 2, 2, 50.0, 1.5, 0.05, 4);
-  EXPECT_THROW((void)mudbscan_d_ft(data, {2.5, 5}, 0), std::invalid_argument);
+  EXPECT_THROW((void)mudbscan_d(data, {2.5, 5}, 0), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// faultharness: scripted fault-scenario matrix for the fault-tolerant
-// µDBSCAN-D driver (docs/FAULT_MODEL.md §6). Runs, against one dataset:
+// faultharness: scripted fault-scenario matrix for the µDBSCAN-D driver
+// (dist/mudbscan_d.hpp, docs/FAULT_MODEL.md §6). Runs, against one dataset:
 //
-//   * a fault-free baseline through the same FT driver;
+//   * a fault-free baseline (an empty plan: one attempt, no checkpoints);
 //   * a single-rank crash injected at each pipeline phase (partition, halo,
 //     local, merge);
 //   * a drop-rate sweep over the reliable (ack/retry) transport;
@@ -20,7 +20,7 @@
 
 #include "common/cli.hpp"
 #include "data/generators.hpp"
-#include "dist/ft_mudbscan_d.hpp"
+#include "dist/mudbscan_d.hpp"
 #include "metrics/exactness.hpp"
 
 namespace {
@@ -28,11 +28,11 @@ namespace {
 struct ScenarioRow {
   std::string name;
   std::string outcome;  // "exact", "INEXACT", or "ERROR: ..."
-  udb::FtStats stats;
+  udb::MuDbscanDStats stats;
   bool ok = false;
 };
 
-std::string phases_of(const udb::FtStats& st) {
+std::string phases_of(const udb::MuDbscanDStats& st) {
   if (st.crashed_ranks.empty()) return "-";
   std::string out;
   for (std::size_t i = 0; i < st.crashed_ranks.size(); ++i) {
@@ -88,10 +88,9 @@ int main(int argc, char** argv) {
                 params.min_pts, static_cast<unsigned long long>(seed));
 
     // ---- fault-free baseline (the exactness reference) -------------------
-    udb::FtConfig base_cfg;
-    udb::FtStats base_stats;
+    udb::MuDbscanDStats base_stats;
     const udb::ClusteringResult reference =
-        udb::mudbscan_d_ft(ds, params, ranks, base_cfg, &base_stats);
+        udb::mudbscan_d(ds, params, ranks, &base_stats);
     const double base_vt = base_stats.vtime_final_attempt;
     std::printf("baseline: clusters=%zu core=%zu noise=%zu vtime=%.4fs\n\n",
                 reference.num_clusters(), reference.num_core(),
@@ -102,11 +101,11 @@ int main(int argc, char** argv) {
                                   const udb::mpi::FaultPlan& plan) {
       ScenarioRow row;
       row.name = name;
-      udb::FtConfig cfg;
+      udb::DistConfig cfg;
       cfg.plan = plan;
       try {
         const udb::ClusteringResult got =
-            udb::mudbscan_d_ft(ds, params, ranks, cfg, &row.stats);
+            udb::mudbscan_d(ds, params, ranks, &row.stats, cfg);
         const udb::ExactnessReport rep = udb::compare_exact(reference, got);
         row.ok = rep.exact();
         row.outcome = row.ok ? "exact" : "INEXACT: " + rep.detail;
@@ -170,7 +169,7 @@ int main(int argc, char** argv) {
                 "overhead", "outcome");
     bool all_ok = true;
     for (const ScenarioRow& row : rows) {
-      const udb::FtStats& st = row.stats;
+      const udb::MuDbscanDStats& st = row.stats;
       const double overhead =
           base_vt > 0 && row.ok ? st.vtime_total / base_vt : 0.0;
       std::printf("%-28s %-8d %-9s %-20s %-8llu %-9.4f %-10s %s\n",
