@@ -3,8 +3,8 @@
 //   $ udbscan --input points.csv --eps 1.5 --minpts 5 --out labels.csv
 //   $ udbscan --input points.bin --algo rdbscan --eps 2 --minpts 4
 //   $ udbscan --input points.csv --algo mudbscan-d --ranks 8 ...
-//   $ udbscan --input big.bin --deadline-ms 60000 --mem-budget-mb 2048 \
-//             --on-budget degrade
+//   $ udbscan --input big.bin --mem-budget-mb 2048 --on-budget degrade
+//   $ udbscan --input big.bin --deadline-ms 60000 --on-budget fail
 //
 // Input: CSV (one point per line) or the UDB1 binary format (autodetected by
 // extension .bin). Output: one line per point, "label,is_core" (label -1 is
