@@ -25,7 +25,6 @@ std::vector<std::uint8_t> encode_wal_header(std::size_t dim,
 
 struct WalScan {
   std::size_t dim = 0;
-  std::uint32_t version = 0;
   std::uint64_t epoch = 0;
   std::vector<double> coords;
   std::vector<std::uint64_t> starts;
@@ -42,28 +41,21 @@ struct WalScan {
 StatusOr<WalScan> scan_wal(std::span<const std::uint8_t> bytes,
                            std::size_t expected_dim,
                            const std::string& origin) {
-  if (bytes.size() < kWalV1HeaderBytes)
+  if (bytes.size() < kWalHeaderBytes)
     return DataLossError("wal: " + origin + " too small to hold a header (" +
                          std::to_string(bytes.size()) + " bytes)");
-  serve::ByteReader h(bytes.subspan(0, kWalV1HeaderBytes));
+  serve::ByteReader h(bytes.subspan(0, kWalHeaderBytes));
   char magic[4];
   std::uint32_t version = 0;
   std::uint64_t dim = 0;
-  if (!h.raw(magic, sizeof magic) || !h.u32(version) || !h.u64(dim) ||
-      std::memcmp(magic, kWalMagic, sizeof magic) != 0)
-    return DataLossError("wal: " + origin + " has no WAL header (bad magic)");
-  if (version != 1 && version != kWalVersion)
-    return DataLossError("wal: " + origin + " is version " +
-                         std::to_string(version) + ", this build reads 1.." +
-                         std::to_string(kWalVersion));
   std::uint64_t epoch = 0;
-  const std::size_t header_bytes =
-      version == 1 ? kWalV1HeaderBytes : kWalHeaderBytes;
-  if (version >= 2) {
-    if (bytes.size() < kWalHeaderBytes)
-      return DataLossError("wal: " + origin + " truncated inside the header");
-    std::memcpy(&epoch, bytes.data() + kWalV1HeaderBytes, 8);
-  }
+  if (!h.raw(magic, sizeof magic) || !h.u32(version) || !h.u64(dim) ||
+      !h.u64(epoch) || std::memcmp(magic, kWalMagic, sizeof magic) != 0)
+    return DataLossError("wal: " + origin + " has no WAL header (bad magic)");
+  if (version != kWalVersion)
+    return DataLossError("wal: " + origin + " is version " +
+                         std::to_string(version) + ", this build reads " +
+                         std::to_string(kWalVersion) + " only");
   if (dim == 0 || dim > std::numeric_limits<std::size_t>::max() / sizeof(double))
     return DataLossError("wal: " + origin + " header has absurd dim " +
                          std::to_string(dim));
@@ -74,11 +66,9 @@ StatusOr<WalScan> scan_wal(std::span<const std::uint8_t> bytes,
 
   WalScan out;
   out.dim = static_cast<std::size_t>(dim);
-  out.version = version;
   out.epoch = epoch;
-  // v2 payloads carry a leading type byte; v1 payloads start at the index.
-  const std::size_t fixed = version == 1 ? 16 : 17;
-  std::size_t off = header_bytes;
+  const std::size_t fixed = 17;  // type byte, start_index, count
+  std::size_t off = kWalHeaderBytes;
   while (bytes.size() - off >= 8) {
     std::uint32_t len = 0, stored_crc = 0;
     std::memcpy(&len, bytes.data() + off, 4);
@@ -86,12 +76,10 @@ StatusOr<WalScan> scan_wal(std::span<const std::uint8_t> bytes,
     if (len < fixed || len > bytes.size() - off - 8) break;  // torn frame
     const std::uint8_t* payload = bytes.data() + off + 8;
     if (serve::crc32(payload, len) != stored_crc) break;  // torn / rotted
-    std::uint8_t type = static_cast<std::uint8_t>(WalRecordType::kInsert);
-    std::size_t at = 0;
-    if (version >= 2) type = payload[at++];
+    const std::uint8_t type = payload[0];
     std::uint64_t start = 0, count = 0;
-    std::memcpy(&start, payload + at, 8);
-    std::memcpy(&count, payload + at + 8, 8);
+    std::memcpy(&start, payload + 1, 8);
+    std::memcpy(&count, payload + 9, 8);
     // CRC-valid but inconsistent framing still ends the prefix: it cannot
     // have come from WalWriter, so nothing after it is trustworthy either.
     if (type > static_cast<std::uint8_t>(WalRecordType::kTombstone) ||
@@ -174,11 +162,6 @@ StatusOr<WalWriter> WalWriter::open(const std::string& path, std::size_t dim,
   if (bytes.ok()) {
     auto scan = scan_wal(std::span<const std::uint8_t>(*bytes), dim, path);
     if (!scan.ok()) return scan.status();
-    if (scan->version != kWalVersion)
-      return DataLossError(
-          "wal: " + path + " is version " + std::to_string(scan->version) +
-          "; this build appends version " + std::to_string(kWalVersion) +
-          " records only — recover the old log, then reset() or remove it");
     if (scan->torn_bytes != 0) {
       // Cut the torn tail back to the committed prefix with an atomic
       // rewrite, so fresh appends always extend valid records.

@@ -22,10 +22,8 @@
 // written as 0 and ignored). The header epoch ties a log to the snapshot
 // generation it extends: reset(generation) stamps it, and recovery replays
 // tombstone-bearing logs only when the epoch matches the loaded generation
-// (docs/ROBUSTNESS.md §Deletes). Version-1 logs (16-byte header, no type
-// byte, no epoch) are still replayed — as insert-only, epoch 0 — but the
-// writer refuses to append to them: mixing typed records into an untyped log
-// would make old readers mis-parse it.
+// (docs/ROBUSTNESS.md §Deletes). Any other header version (the untyped v1
+// format included) is DATA_LOSS for both the reader and the writer.
 //
 // start_index is the stream insertion index of an insert record's first
 // point.
@@ -58,8 +56,6 @@ namespace udb {
 inline constexpr char kWalMagic[4] = {'U', 'D', 'B', 'W'};
 inline constexpr std::uint32_t kWalVersion = 2;
 inline constexpr std::size_t kWalHeaderBytes = 4 + 4 + 8 + 8;
-// Version-1 logs (read-compat only): no epoch field, no record type byte.
-inline constexpr std::size_t kWalV1HeaderBytes = 4 + 4 + 8;
 
 enum class WalRecordType : std::uint8_t { kInsert = 0, kTombstone = 1 };
 
@@ -148,7 +144,7 @@ struct WalReplay {
   std::vector<std::uint64_t> starts;    // per-record stream start index
   std::vector<std::uint64_t> counts;    // per-record point count
   std::vector<std::uint8_t> types;      // per-record WalRecordType
-  std::uint64_t epoch = 0;              // header epoch (0 for v1 logs)
+  std::uint64_t epoch = 0;              // header epoch
   std::uint64_t records = 0;            // committed records accepted
   std::uint64_t torn_bytes = 0;  // uncommitted tail dropped (crash artifact)
 

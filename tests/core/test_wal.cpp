@@ -377,11 +377,12 @@ TEST_F(WalTest, ResetStampsEpochAndReopenRestoresIt) {
   EXPECT_TRUE(rep->has_tombstones());
 }
 
-TEST_F(WalTest, Version1LogReplaysButRejectsNewAppends) {
+TEST_F(WalTest, Version1HeaderIsDataLoss) {
   const std::string p = path("v1.wal");
   (void)vfs::remove_file(p);
-  // Synthesize a version-1 log byte-for-byte: 16-byte header (no epoch) and
-  // untyped records (u64 start | u64 count | coords).
+  // A version-1 log: 16-byte header (no epoch) and one untyped record
+  // (u64 start | u64 count | coords). Neither the reader nor the writer
+  // accepts it.
   serve::ByteWriter file;
   file.raw(kWalMagic, sizeof kWalMagic);
   file.u32(1);
@@ -398,16 +399,8 @@ TEST_F(WalTest, Version1LogReplaysButRejectsNewAppends) {
       vfs::write_file_atomic(p, file.data().data(), file.size()).ok());
 
   auto rep = replay_wal(p, 2);
-  ASSERT_TRUE(rep.ok()) << rep.status().to_string();
-  EXPECT_EQ(rep->records, 1u);
-  EXPECT_EQ(rep->epoch, 0u);
-  EXPECT_FALSE(rep->has_tombstones());
-  EXPECT_EQ(rep->starts, (std::vector<std::uint64_t>{5}));
-  EXPECT_EQ(rep->counts, (std::vector<std::uint64_t>{2}));
-  EXPECT_EQ(rep->coords, pts);
-
-  // The writer refuses to extend a v1 log: typed records appended to an
-  // untyped log would be mis-parsed by old readers.
+  ASSERT_FALSE(rep.ok());
+  EXPECT_EQ(rep.status().code(), StatusCode::kDataLoss);
   auto w = WalWriter::open(p, 2);
   ASSERT_FALSE(w.ok());
   EXPECT_EQ(w.status().code(), StatusCode::kDataLoss);
