@@ -10,12 +10,17 @@
 // the batch clustering's label and kind. Afterwards it asserts the serve
 // classify ledger (performed + avoided_exact == classify_points) on the
 // server's own metrics snapshot — the same invariant CI's smoke job checks.
+// Each phase's server-side request count (registry deltas at the phase
+// boundaries) must equal the requests its clients completed, and in phases
+// of two seconds or more the live 1 s telemetry window's p50 must agree with
+// the phase's server-side p50 (both are server request times).
 //
 // Numbers are machine-dependent; the container this repo is developed in has
 // a single hardware thread, so client threads and server workers time-share
 // one core (hardware_threads is recorded in the JSON for interpretation).
-// Emits BENCH_serve.json with per-phase qps, p50/p99 latency, and the
-// embedded metrics snapshot. --quick shrinks everything for CI.
+// Emits BENCH_serve.json with per-phase client qps and p50/p99 latency, the
+// server's per-phase count, qps and p50 octave, the mid-phase telemetry
+// p50/p99, and the embedded metrics snapshot. --quick shrinks everything for CI.
 
 #include <algorithm>
 #include <atomic>
@@ -23,6 +28,7 @@
 #include <sstream>
 #include <random>
 #include <stdexcept>
+#include <tuple>
 #include <thread>
 #include <vector>
 
@@ -52,12 +58,37 @@ struct PhaseResult {
   double points_per_s = 0.0;
   std::uint64_t p50_us = 0;
   std::uint64_t p99_us = 0;
-  // Live-telemetry view of the same phase: the server's rolling 10s window
-  // scraped over the wire right as the phase ends (docs/OBSERVABILITY.md).
-  double tel_qps = 0.0;
+  // The server's view of the same phase: its request counter and its
+  // request-time histogram, differenced between registry snapshots taken at
+  // the phase boundaries. The histogram's buckets are octaves, so the
+  // median is known to the octave [lo, hi).
+  std::uint64_t server_requests = 0;
+  double server_qps = 0.0;
+  double server_p50_lo_us = 0.0;
+  double server_p50_hi_us = 0.0;
+  // Live-telemetry view: the server's 1 s window scraped over the wire in
+  // the middle of the phase (docs/OBSERVABILITY.md); 0 when the phase is too
+  // short to hold a whole window bucket.
+  bool scraped = false;
   double tel_p50_us = 0.0;
   double tel_p99_us = 0.0;
 };
+
+// Octave [lo, hi) holding the median of the request times recorded between
+// two snapshots of the server's registry (bucket b > 0 holds [2^(b-1), 2^b)).
+std::pair<double, double> median_octave(const obs::HistSnapshot& before,
+                                        const obs::HistSnapshot& after) {
+  const std::uint64_t count = after.count - before.count;
+  std::uint64_t seen = 0;
+  for (std::size_t b = 0; b < obs::kHistBuckets; ++b) {
+    seen += after.buckets[b] - before.buckets[b];
+    if (count > 0 && 2 * seen >= count)
+      return b == 0 ? std::pair{0.0, 1.0}
+                    : std::pair{std::ldexp(1.0, static_cast<int>(b) - 1),
+                                std::ldexp(1.0, static_cast<int>(b))};
+  }
+  return {0.0, 0.0};
+}
 
 std::uint64_t percentile(std::vector<std::uint64_t>& v, double p) {
   if (v.empty()) return 0;
@@ -69,10 +100,16 @@ std::uint64_t percentile(std::vector<std::uint64_t>& v, double p) {
 }
 
 // One timed phase: `clients` threads, each its own connection, classify
-// batches of `batch` points from the query pool for `seconds` wall.
-PhaseResult run_phase(const char* name, std::uint16_t port,
+// batches of `batch` points from the query pool for `seconds` wall. The
+// server's registry is snapshotted at the phase boundaries, and, once the
+// phase has run for a second, the main thread scrapes the live telemetry
+// when the server's current one-second window bucket is at least 0.6 s old:
+// that bucket then holds only this phase's requests.
+PhaseResult run_phase(const char* name, serve::QueryServer& server,
                       const std::vector<double>& pool, std::size_t dim,
                       std::size_t clients, std::size_t batch, double seconds) {
+  const std::uint16_t port = server.port();
+  const obs::MetricsSnapshot before = server.metrics().snapshot();
   const std::size_t pool_points = pool.size() / dim;
   std::atomic<bool> stop{false};
   std::vector<std::vector<std::uint64_t>> lat(clients);
@@ -111,15 +148,28 @@ PhaseResult run_phase(const char* name, std::uint16_t port,
     });
   }
 
+  PhaseResult res;
   WallTimer wall;
-  while (wall.seconds() < seconds && failures.load() == 0)
+  while (wall.seconds() < seconds && failures.load() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    if (res.scraped || wall.seconds() < 1.0 ||
+        server.telemetry_report().uptime_us % 1'000'000 < 600'000)
+      continue;
+    auto tclient = serve::Client::connect(port, 30.0);
+    if (!tclient.ok()) throw StatusError(tclient.status());
+    auto tel = tclient->telemetry();
+    if (!tel.ok()) throw StatusError(tel.status());
+    const serve::TelemetryWindow& w1 = tel->windows[0];  // {1s,10s,60s}
+    res.scraped = true;
+    res.tel_p50_us = w1.p50_us;
+    res.tel_p99_us = w1.p99_us;
+  }
   stop.store(true);
   for (auto& t : threads) t.join();
   if (failures.load() != 0)
     throw std::runtime_error(std::string("client failure in phase ") + name);
+  const obs::MetricsSnapshot after = server.metrics().snapshot();
 
-  PhaseResult res;
   res.name = name;
   res.batch = batch;
   res.clients = clients;
@@ -134,6 +184,20 @@ PhaseResult run_phase(const char* name, std::uint16_t port,
   res.points_per_s = static_cast<double>(res.points) / res.seconds;
   res.p50_us = percentile(all, 0.50);
   res.p99_us = percentile(all, 0.99);
+
+  // The mid-phase scrape is one request of its own.
+  res.server_requests = after.counter(obs::Counter::kServeRequests) -
+                        before.counter(obs::Counter::kServeRequests) -
+                        (res.scraped ? 1 : 0);
+  res.server_qps = static_cast<double>(res.server_requests) / res.seconds;
+  if (res.server_requests != res.requests)
+    throw std::runtime_error(
+        std::string("TELEMETRY DRIFT: phase ") + name + ": server counted " +
+        std::to_string(res.server_requests) + " requests, clients completed " +
+        std::to_string(res.requests));
+  std::tie(res.server_p50_lo_us, res.server_p50_hi_us) =
+      median_octave(before.hist(obs::Hist::kServeRequestUs),
+                    after.hist(obs::Hist::kServeRequestUs));
   return res;
 }
 
@@ -239,43 +303,32 @@ int main(int argc, char** argv) {
         {"batch_64", 64},
         {"batch_1024_pool", 1024},  // over the pool threshold: pooled fanout
     };
-    bool first_phase = true;
     for (const auto& ph : kPhases) {
-      PhaseResult r = run_phase(ph.name, server.port(), pool, dim, clients,
+      PhaseResult r = run_phase(ph.name, server, pool, dim, clients,
                                 ph.batch, seconds);
       bench::row("%16s | %7zu %6zu | %9.0f %12.0f %9llu %9llu",
                  r.name.c_str(), r.clients, r.batch, r.qps, r.points_per_s,
                  static_cast<unsigned long long>(r.p50_us),
                  static_cast<unsigned long long>(r.p99_us));
-      // Scrape the TELEMETRY admin RPC while the phase's samples still
-      // dominate the rolling 10s window; the bench and the live window must
-      // agree on the latency distribution they just both watched.
-      {
-        auto tclient = serve::Client::connect(server.port(), 30.0);
-        if (!tclient.ok()) throw StatusError(tclient.status());
-        auto tel = tclient->telemetry();
-        if (!tel.ok()) throw StatusError(tel.status());
-        const serve::TelemetryWindow& w10 = tel->windows[1];  // {1s,10s,60s}
-        r.tel_qps = w10.qps;
-        r.tel_p50_us = w10.p50_us;
-        r.tel_p99_us = w10.p99_us;
-        bench::row("%16s | telemetry 10s window: p50 %.0fus p99 %.0fus",
-                   r.name.c_str(), w10.p50_us, w10.p99_us);
-        // Cross-check only the first phase: later phases share the window
-        // with their predecessor's tail. Client-side p50 includes loopback
-        // and client overhead, so the comparison carries an absolute floor.
-        if (first_phase && r.seconds >= 1.5) {
-          const double p50 = static_cast<double>(r.p50_us);
-          const double tol = std::max(0.20 * p50, 150.0);
-          if (std::abs(w10.p50_us - p50) > tol)
-            throw std::runtime_error(
-                "TELEMETRY DRIFT: live 10s-window p50 " +
-                std::to_string(w10.p50_us) + "us vs bench-measured p50 " +
-                std::to_string(r.p50_us) + "us (tolerance " +
-                std::to_string(tol) + "us)");
-        }
+      bench::row("%16s | server: %.0f req/s, p50 in [%.0f, %.0f)us",
+                 r.name.c_str(), r.server_qps, r.server_p50_lo_us,
+                 r.server_p50_hi_us);
+      // Like with like: the live 1 s window and the registry histogram both
+      // hold the server's own request times, the window those of the
+      // phase's last whole-bucket second. Their medians must agree to
+      // within one octave either side of the histogram's median octave.
+      if (r.scraped) {
+        bench::row("%16s | telemetry 1s window: p50 %.0fus p99 %.0fus",
+                   r.name.c_str(), r.tel_p50_us, r.tel_p99_us);
+        if (r.tel_p50_us < 0.5 * r.server_p50_lo_us ||
+            r.tel_p50_us >= 2.0 * r.server_p50_hi_us)
+          throw std::runtime_error(
+              "TELEMETRY DRIFT: live 1s-window p50 " +
+              std::to_string(r.tel_p50_us) + "us outside the phase's server "
+              "p50 octave [" + std::to_string(r.server_p50_lo_us) + ", " +
+              std::to_string(r.server_p50_hi_us) + ")us widened by one "
+              "octave either side");
       }
-      first_phase = false;
       phases.push_back(std::move(r));
     }
     bench::rule();
@@ -319,7 +372,10 @@ int main(int argc, char** argv) {
           << ", \"points\": " << r.points << ", \"seconds\": " << r.seconds
           << ", \"qps\": " << r.qps << ", \"points_per_s\": " << r.points_per_s
           << ", \"p50_us\": " << r.p50_us << ", \"p99_us\": " << r.p99_us
-          << ", \"telemetry_qps_10s\": " << r.tel_qps
+          << ", \"server_requests\": " << r.server_requests
+          << ", \"server_qps\": " << r.server_qps
+          << ", \"server_p50_octave_us\": [" << r.server_p50_lo_us << ", "
+          << r.server_p50_hi_us << "]"
           << ", \"telemetry_p50_us\": " << r.tel_p50_us
           << ", \"telemetry_p99_us\": " << r.tel_p99_us
           << "}" << (i + 1 < phases.size() ? "," : "") << "\n";
