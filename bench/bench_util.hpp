@@ -6,11 +6,14 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "obs/trace.hpp"
 
 namespace udb::bench {
 
@@ -46,6 +49,36 @@ inline std::string metrics_json_object(const obs::MetricsSnapshot& snap,
   obs::JsonWriter w;
   w.begin_object();
   obs::write_metrics_snapshot(w, snap, points);
+  w.end_object();
+  return w.str();
+}
+
+// The fit's layers: the µR-tree build spans and the algorithm spans, named
+// as in docs/OBSERVABILITY.md, in pipeline order.
+inline constexpr const char* kFitLayers[] = {
+    "build.assign",     "build.aux_trees",         "build.inner_circles",
+    "build.reachable",  "alg4.process_mcs",        "alg6.process_rem_points",
+    "alg7.post_core",   "alg8.post_noise"};
+
+// Seconds per fit layer: the durations of the tracer's spans of that name,
+// summed (a tracer that saw one fit holds one span of each).
+inline std::vector<double> layer_seconds(const obs::Tracer& tracer) {
+  std::vector<double> secs(std::size(kFitLayers), 0.0);
+  for (const obs::TraceEvent& e : tracer.events())
+    for (std::size_t i = 0; i < secs.size(); ++i)
+      if (std::string_view(e.name) == kFitLayers[i])
+        secs[i] += static_cast<double>(e.dur_ns) * 1e-9;
+  return secs;
+}
+
+// The "layers" object of a BENCH_*.json row: layer name -> seconds.
+inline std::string layers_json_object(const std::vector<double>& secs) {
+  obs::JsonWriter w;
+  w.begin_object();
+  for (std::size_t i = 0; i < secs.size(); ++i) {
+    w.key(kFitLayers[i]);
+    w.value(secs[i]);
+  }
   w.end_object();
   return w.str();
 }

@@ -36,6 +36,7 @@ struct Table2Row {
   double save_fraction = 0.0;
   bool exact = true;
   std::string metrics_json;  // µDBSCAN-run metrics snapshot embed
+  std::string layers_json;   // µDBSCAN-run layer seconds
 };
 
 void write_json(const std::string& path, double scale,
@@ -55,6 +56,7 @@ void write_json(const std::string& path, double scale,
         << ",\n     \"num_mcs\": " << r.num_mcs
         << ", \"query_save_fraction\": " << r.save_fraction
         << ", \"exact\": " << (r.exact ? "true" : "false")
+        << ",\n     \"layers\": " << r.layers_json
         << ",\n     \"metrics\": " << r.metrics_json << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
@@ -111,8 +113,10 @@ int main(int argc, char** argv) {
     t.reset();
     MuDbscanStats st;
     obs::MetricsRegistry mu_metrics;
+    obs::Tracer mu_tracer;
     MuDbscanConfig mu_cfg;
     mu_cfg.metrics = &mu_metrics;
+    mu_cfg.tracer = &mu_tracer;
     const auto mu_res = mu_dbscan(ds, nd.params, &st, mu_cfg);
     const double t_mu = t.seconds();
 
@@ -149,6 +153,7 @@ int main(int argc, char** argv) {
     jr.exact = exact;
     jr.metrics_json = bench::metrics_json_object(
         mu_metrics.snapshot(), static_cast<std::uint64_t>(ds.size()));
+    jr.layers_json = bench::layers_json_object(bench::layer_seconds(mu_tracer));
     json_rows.push_back(std::move(jr));
   }
 
