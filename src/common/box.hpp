@@ -32,6 +32,26 @@ namespace udb {
   return acc;
 }
 
+// Squared distance between two boxes (0 when they meet), summed in
+// ascending k like the distance kernels, so it never exceeds the computed
+// squared distance of any point of one box to any point of the other.
+[[nodiscard]] inline double box_box_min_sq_dist(const double* lo_a,
+                                                const double* hi_a,
+                                                const double* lo_b,
+                                                const double* hi_b,
+                                                std::size_t dim) noexcept {
+  double acc = 0.0;
+  for (std::size_t k = 0; k < dim; ++k) {
+    double d = 0.0;
+    if (hi_a[k] < lo_b[k])
+      d = lo_b[k] - hi_a[k];
+    else if (hi_b[k] < lo_a[k])
+      d = lo_a[k] - hi_b[k];
+    acc += d * d;
+  }
+  return acc;
+}
+
 class Box {
  public:
   Box() = default;

@@ -22,8 +22,12 @@ inline std::atomic_ref<std::uint8_t> flag(std::vector<std::uint8_t>& v,
   return std::atomic_ref<std::uint8_t>(v[i]);
 }
 
-// Algorithm 7/8 work chunks (wndq / noise points). A guarded loop checks
-// once per chunk, so 256 wndq points bound the cancellation latency.
+// Work chunks: Algorithm 6 runs over chunks of MCs, Algorithms 7/8 over
+// wndq / noise points. A guarded loop checks once per chunk, so 256 wndq
+// points bound the cancellation latency; Algorithm 6 also checks every
+// kAlg6QueryCheck queries, since one MC can hold any number of points.
+constexpr std::size_t kAlg6McChunk = 16;
+constexpr std::size_t kAlg6QueryCheck = 64;
 constexpr std::size_t kPostCoreChunk = 256;
 constexpr std::size_t kPostNoiseChunk = 64;
 
@@ -122,22 +126,22 @@ void MuDbscanEngine::find_reachable() {
 //   * Algorithm 4 runs over MCs: every point belongs to exactly one MC, so
 //     member flag writes are exclusive to the thread owning the MC; only the
 //     lock-free union-find is shared.
-//   * Algorithm 6 runs over points. Core points publish is_core_ with
-//     seq_cst BEFORE scanning their neighborhood; for any two
-//     concurrently-queried core neighbors the store/load pattern is Dekker's,
-//     so at least one side observes the other and performs the union. Border
-//     points are claimed with an atomic exchange on assigned_ (exactly one
-//     core adopts an unassigned non-core neighbor — the classic parallel
-//     DBSCAN border race). Missed late-promoted cores are repaired by
-//     Algorithms 7/8.
+//   * Algorithm 6 runs over MCs too, each MC's members in slot order, so
+//     one candidate block per MC serves all of its queries. Core points
+//     publish is_core_ with seq_cst BEFORE scanning their neighborhood; for
+//     any two concurrently-queried core neighbors the store/load pattern is
+//     Dekker's, so at least one side observes the other and performs the
+//     union. Border points are claimed with an atomic exchange on assigned_
+//     (exactly one core adopts an unassigned non-core neighbor — the classic
+//     parallel DBSCAN border race). Missed late-promoted cores are repaired
+//     by Algorithms 7/8.
 //   * Counts and the provisional-noise CSR go to per-thread accumulators
 //     merged in tid order after the join. With no pool the loops run inline
 //     over ascending chunks into one accumulator, so a one-thread run makes
-//     the same unions in the same order and lists noise in point order.
+//     the same unions in the same order and lists noise in MC-major order.
 void MuDbscanEngine::cluster() {
   obs::Span phase_span(cfg_.tracer, "phase.cluster");
   WallTimer timer;
-  const std::size_t n = ds_->size();
   const double eps = params_.eps;
   const double half2 = (eps / 2.0) * (eps / 2.0);
   const std::uint32_t min_pts = params_.min_pts;
@@ -153,6 +157,7 @@ void MuDbscanEngine::cluster() {
     std::vector<std::uint32_t> noise_off{0};
     std::vector<PointId> noise_nbrs;
     std::vector<std::pair<PointId, double>> nbhd;  // query scratch
+    MuRTree::CandidateBlock block;                  // Algorithm 6 scratch
   };
   std::vector<Accum> acc(pool_ ? pool_->num_threads() : 1);
 
@@ -207,118 +212,140 @@ void MuDbscanEngine::cluster() {
   alg4_span.end();
 
   // --- Algorithm 6: PROCESS-REM-POINTS ----------------------------------
-  // Every byte flag starts 0 and is only ever set to a nonzero value, so a
-  // relaxed load that already sees is_core_ or assigned_ set stands in for
-  // the exchange (which could only return 1).
+  // MC by MC: an MC with a member left to query gathers its candidate block
+  // once (MuRTree::gather_candidates), and each of its queries is one kernel
+  // pass over the block. Every byte flag starts 0 and is only ever set to a
+  // nonzero value, so a relaxed load that already sees is_core_ or
+  // assigned_ set stands in for the exchange (which could only return 1).
   obs::Span alg6_span(cfg_.tracer, "alg6.process_rem_points");
   parallel_for_chunked(
-      pool_.get(), n, 64, [&](std::size_t begin, std::size_t end,
-                              unsigned tid) {
+      pool_.get(), tree_->num_mcs(), kAlg6McChunk,
+      [&](std::size_t begin, std::size_t end, unsigned tid) {
         Accum& a = acc[tid];
         auto& nbhd = a.nbhd;
+        MuRTree::CandidateBlock& block = a.block;
+        const auto add_neighbor = [&nbhd](PointId q, double d2) {
+          nbhd.emplace_back(q, d2);
+        };
         Tally t;
-        for (std::size_t i = begin; i < end; ++i) {
-          const PointId p = static_cast<PointId>(i);
-          // A concurrent promotion may land after this check — p then runs a
-          // redundant (but harmless) query, exactly like a sequential run
-          // that promoted p after its turn. The skip site runs exactly once
-          // per point, so the per-reason ledger sums with `queries` to n.
-          const std::uint8_t reason =
-              flag(wndq_, p).load(std::memory_order_relaxed);
-          if (reason) {
-            ++t.avoided[reason & 3];
-            continue;
-          }
-          ++t.queries;
+        for (std::size_t zi = begin; zi < end; ++zi) {
+          const auto z = static_cast<McId>(zi);
+          bool gathered = false;
+          for (const PointId p : tree_->mc(z).members) {
+            // A concurrent promotion may land after this check — p then runs
+            // a redundant (but harmless) query, exactly like a one-thread run
+            // that promoted p after its turn. The skip site runs exactly
+            // once per point, so the per-reason ledger sums with `queries`
+            // to n.
+            const std::uint8_t reason =
+                flag(wndq_, p).load(std::memory_order_relaxed);
+            if (reason) {
+              ++t.avoided[reason & 3];
+              continue;
+            }
+            if (!gathered) {
+              tree_->gather_candidates(z, eps, cfg_.mbr_filtration, block);
+              gathered = true;
+            }
+            // A guarded run checks at every chunk of MCs and, so one large
+            // MC cannot delay a cancellation, every kAlg6QueryCheck queries.
+            if (++t.queries % kAlg6QueryCheck == 0 && guard_)
+              guard_->check_throw("mudbscan algorithm 6");
 
-          nbhd.clear();
-          tree_->query_neighborhood(p, eps, nbhd, cfg_.mbr_filtration);
-          metrics_.observe(obs::Hist::kNeighborCount, nbhd.size());
+            nbhd.clear();
+            tree_->query_candidates(block, ds_->ptr(p), eps, add_neighbor);
+            metrics_.observe(obs::Hist::kNeighborCount, nbhd.size());
 
-          if (nbhd.size() < min_pts) {
-            // Non-core: border if some already-known core is in range,
-            // otherwise provisional noise with the neighborhood remembered
-            // for Algorithm 8.
-            bool attached =
-                flag(assigned_, p).load(std::memory_order_acquire) != 0;
-            if (!attached) {
-              for (const auto& [q, d2] : nbhd) {
-                if (flag(is_core_, q).load(std::memory_order_seq_cst)) {
-                  // Claim before union: a concurrent core may adopt p via the
-                  // same exchange, and only the exchange winner unions — a
-                  // load/union/store here would let both unions run and
-                  // bridge two clusters through non-core p.
-                  if (!flag(assigned_, p)
-                           .exchange(1, std::memory_order_acq_rel)) {
-                    uf_.union_sets(q, p);
-                    ++t.unions;
+            if (nbhd.size() < min_pts) {
+              // Non-core: border if some already-known core is in range,
+              // otherwise provisional noise with the neighborhood remembered
+              // for Algorithm 8.
+              bool attached =
+                  flag(assigned_, p).load(std::memory_order_acquire) != 0;
+              if (!attached) {
+                for (const auto& [q, d2] : nbhd) {
+                  if (flag(is_core_, q).load(std::memory_order_seq_cst)) {
+                    // Claim before union: a concurrent core may adopt p via the
+                    // same exchange, and only the exchange winner unions — a
+                    // load/union/store here would let both unions run and
+                    // bridge two clusters through non-core p.
+                    if (!flag(assigned_, p)
+                             .exchange(1, std::memory_order_acq_rel)) {
+                      uf_.union_sets(q, p);
+                      ++t.unions;
+                    }
+                    attached = true;
+                    break;
                   }
-                  attached = true;
-                  break;
+                }
+              }
+              if (!attached) {
+                // Conservative: a neighbor may become core after this scan;
+                // Algorithm 8 re-checks the stored neighborhood against the
+                // final core flags and repairs the label.
+                a.noise_pts.push_back(p);
+                for (const auto& [q, d2] : nbhd)
+                  if (q != p) a.noise_nbrs.push_back(q);
+                a.noise_off.push_back(
+                    static_cast<std::uint32_t>(a.noise_nbrs.size()));
+              }
+              continue;
+            }
+
+            // Core point: publish the flag BEFORE scanning neighbors (seq_cst;
+            // Dekker pairing with other queried cores — see docs/PARALLEL.md).
+            flag(is_core_, p).store(1, std::memory_order_seq_cst);
+            flag(assigned_, p).store(1, std::memory_order_release);
+
+            // Dynamic wndq promotion (Algorithm 6 lines 18-21): if >= MinPts
+            // of the neighbors sit strictly within eps/2 of p, they are
+            // pairwise strictly within eps of each other, so each of them is
+            // core — no query needed.
+            if (cfg_.dynamic_promotion) {
+              std::size_t inner = 0;
+              for (const auto& [q, d2] : nbhd)
+                if (d2 < half2) ++inner;
+              if (inner >= min_pts) {
+                for (const auto& [q, d2] : nbhd) {
+                  if (d2 >= half2 ||
+                      flag(is_core_, q).load(std::memory_order_relaxed) ||
+                      flag(is_core_, q).exchange(1, std::memory_order_seq_cst))
+                    continue;
+                  // Claim the tag only if untagged (compare-exchange from 0,
+                  // not a blind exchange): an Algorithm 4 DMC/CMC reason is
+                  // never overwritten, keeping the dmc/cmc ledger counts
+                  // deterministic at every thread count. Only the winner of
+                  // the is_core_ exchange gets here, so no pre-check.
+                  std::uint8_t expected = kWndqNone;
+                  if (flag(wndq_, q).compare_exchange_strong(
+                          expected, kWndqPromotion, std::memory_order_relaxed))
+                    ++t.wndq;
                 }
               }
             }
-            if (!attached) {
-              // Conservative: a neighbor may become core after this scan;
-              // Algorithm 8 re-checks the stored neighborhood against the
-              // final core flags and repairs the label.
-              a.noise_pts.push_back(p);
-              for (const auto& [q, d2] : nbhd)
-                if (q != p) a.noise_nbrs.push_back(q);
-              a.noise_off.push_back(
-                  static_cast<std::uint32_t>(a.noise_nbrs.size()));
-            }
-            continue;
-          }
 
-          // Core point: publish the flag BEFORE scanning neighbors (seq_cst;
-          // Dekker pairing with other queried cores — see docs/PARALLEL.md).
-          flag(is_core_, p).store(1, std::memory_order_seq_cst);
-          flag(assigned_, p).store(1, std::memory_order_release);
-
-          // Dynamic wndq promotion (Algorithm 6 lines 18-21): if >= MinPts
-          // of the neighbors sit strictly within eps/2 of p, they are
-          // pairwise strictly within eps of each other, so each of them is
-          // core — no query needed.
-          if (cfg_.dynamic_promotion) {
-            std::size_t inner = 0;
-            for (const auto& [q, d2] : nbhd)
-              if (d2 < half2) ++inner;
-            if (inner >= min_pts) {
-              for (const auto& [q, d2] : nbhd) {
-                if (d2 >= half2 ||
-                    flag(is_core_, q).load(std::memory_order_relaxed) ||
-                    flag(is_core_, q).exchange(1, std::memory_order_seq_cst))
-                  continue;
-                // Claim the tag only if untagged (compare-exchange from 0,
-                // not a blind exchange): an Algorithm 4 DMC/CMC reason is
-                // never overwritten, keeping the dmc/cmc ledger counts
-                // deterministic at every thread count. Only the winner of
-                // the is_core_ exchange gets here, so no pre-check.
-                std::uint8_t expected = kWndqNone;
-                if (flag(wndq_, q).compare_exchange_strong(
-                        expected, kWndqPromotion, std::memory_order_relaxed))
-                  ++t.wndq;
+            // `root` tracks p's set through the unions, so each union
+            // starts from a root instead of walking up from p again.
+            PointId root = p;
+            for (const auto& [q, d2] : nbhd) {
+              if (flag(is_core_, q).load(std::memory_order_seq_cst)) {
+                root = uf_.union_sets(root, q);
+                ++t.unions;
+                if (!flag(assigned_, q).load(std::memory_order_relaxed))
+                  flag(assigned_, q).store(1, std::memory_order_release);
+              } else if (!flag(assigned_, q).load(std::memory_order_relaxed) &&
+                         !flag(assigned_, q)
+                              .exchange(1, std::memory_order_acq_rel)) {
+                // Atomically adopted q as this cluster's border point; exactly
+                // one core wins this exchange (the parallel-DBSCAN border
+                // race), so the first claimer keeps it.
+                root = uf_.union_sets(root, q);
+                ++t.unions;
               }
             }
           }
-
-          for (const auto& [q, d2] : nbhd) {
-            if (flag(is_core_, q).load(std::memory_order_seq_cst)) {
-              uf_.union_sets(p, q);
-              ++t.unions;
-              flag(assigned_, q).store(1, std::memory_order_release);
-            } else if (!flag(assigned_, q).load(std::memory_order_relaxed) &&
-                       !flag(assigned_, q)
-                            .exchange(1, std::memory_order_acq_rel)) {
-              // Atomically adopted q as this cluster's border point; exactly
-              // one core wins this exchange (the parallel-DBSCAN border
-              // race), so the first claimer keeps it.
-              uf_.union_sets(p, q);
-              ++t.unions;
-            }
-          }
         }
+        tree_->publish_counts(block);
         a.tally.merge(t);
       },
       guard_);
@@ -332,7 +359,10 @@ void MuDbscanEngine::cluster() {
     std::size_t scratch_bytes = 0;
     for (const Accum& a : acc)
       scratch_bytes += vector_bytes(a.noise_pts) + vector_bytes(a.noise_off) +
-                       vector_bytes(a.noise_nbrs) + vector_bytes(a.nbhd);
+                       vector_bytes(a.noise_nbrs) + vector_bytes(a.nbhd) +
+                       vector_bytes(a.block.ids) +
+                       vector_bytes(a.block.coords) +
+                       vector_bytes(a.block.d2) + vector_bytes(a.block.mcs);
     thread_scratch.acquire_throw(guard_, scratch_bytes,
                                  "per-thread scratch buffers");
   }

@@ -1,14 +1,12 @@
 #include "core/murtree.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "common/distance.hpp"
-#include "index/grid.hpp"
 #include "index/str.hpp"
 #include "obs/trace.hpp"
 
@@ -20,167 +18,10 @@ namespace {
 // milliseconds even on slow hosts.
 constexpr std::size_t kBuildCheckStride = 2048;
 
-// The Algorithm-3 probe index: MC centres hashed into cells of side 2*eps on
-// the first k = min(d, 3) axes. A centre strictly within 2*eps of a point is
-// less than one side away on every gridded axis, so it sits in one of the
-// 3^k cells around the point's cell; the d-dimensional distance then filters
-// those candidates. Leaving the axes beyond the third to the distance filter
-// caps a probe at 27 cells, so one code path serves every d. Every cell a
-// point falls in gets a record holding the recorded cells around it, so a
-// cell's neighbourhood is looked up once, when the cell is first seen; after
-// that a probe costs at most one table lookup in any point order, and none
-// while consecutive points stay in one cell.
-class CenterGrid {
- public:
-  struct Probe {
-    McId within_eps = kInvalidMc;  // first centre strictly within eps
-    bool within_2eps = false;      // some centre strictly within 2*eps
-  };
-
-  CenterGrid(std::size_t dim, double eps)
-      : dim_(dim),
-        axes_(std::min<std::size_t>(dim, kMaxAxes)),
-        side_(2.0 * eps),
-        eps2_(eps * eps),
-        two_eps2_((2.0 * eps) * (2.0 * eps)) {}
-
-  // One scan of the point's cell, then of the cells around it. Stops at the
-  // first centre within eps; otherwise reports whether any centre was within
-  // 2*eps.
-  Probe probe(const double* pt) {
-    const Cell& cell = cells_[cell_of(key_of(pt))];
-    Probe r;
-    if (scan(pt, cell, r)) return r;
-    for (std::uint32_t c : cell.nbrs)
-      if (scan(pt, cells_[c], r)) return r;
-    return r;
-  }
-
-  void add(const double* pt, McId id) {
-    const std::uint32_t c = cell_of(key_of(pt));
-    cells_[c].ids.push_back(id);
-    cells_[c].coords.insert(cells_[c].coords.end(), pt, pt + dim_);
-  }
-
- private:
-  static constexpr std::size_t kMaxAxes = 3;
-  using Key = std::array<std::int64_t, kMaxAxes>;  // ungridded axes stay 0
-  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
-
-  // A cell some point fell in: its centres (possibly none yet), and the
-  // other recorded cells among the 3^k around it.
-  struct Cell {
-    Key key{};
-    std::vector<McId> ids;
-    std::vector<double> coords;  // row-major, dim_ per centre
-    std::vector<std::uint32_t> nbrs;
-  };
-
-  [[nodiscard]] Key key_of(const double* pt) const noexcept {
-    Key key{};
-    for (std::size_t a = 0; a < axes_; ++a)
-      key[a] = grid_cell_index(pt[a], side_);
-    return key;
-  }
-
-  bool scan(const double* pt, const Cell& cell, Probe& r) const noexcept {
-    const double* c = cell.coords.data();
-    for (std::size_t i = 0; i < cell.ids.size(); ++i, c += dim_) {
-      const double d2 = sq_dist(pt, c, dim_);
-      if (d2 < eps2_) {
-        r.within_eps = cell.ids[i];
-        r.within_2eps = true;
-        return true;
-      }
-      if (d2 < two_eps2_) r.within_2eps = true;
-    }
-    return false;
-  }
-
-  // The record for `key`. A new record and each recorded cell around it
-  // enter each other's neighbour lists. Consecutive points in one cell skip
-  // the table lookup.
-  std::uint32_t cell_of(const Key& key) {
-    if (last_ != kNone && cells_[last_].key == key) return last_;
-    std::uint32_t c = find(key);
-    if (c == kNone) {
-      c = static_cast<std::uint32_t>(cells_.size());
-      cells_.push_back(Cell{key, {}, {}, {}});
-      insert(c);
-      for_each_adjacent(key, [&](std::uint32_t o) {
-        cells_[c].nbrs.push_back(o);
-        cells_[o].nbrs.push_back(c);
-      });
-    }
-    return last_ = c;
-  }
-
-  // Calls fn(cell) for every recorded cell among the 3^k around `key`, other
-  // than `key` itself.
-  template <class Fn>
-  void for_each_adjacent(const Key& key, Fn&& fn) const {
-    std::array<std::int64_t, kMaxAxes> off{};
-    for (std::size_t a = 0; a < axes_; ++a) off[a] = -1;
-    while (true) {
-      Key probe = key;
-      bool self = true;
-      for (std::size_t a = 0; a < axes_; ++a) {
-        probe[a] += off[a];
-        self = self && off[a] == 0;
-      }
-      if (!self)
-        if (const std::uint32_t c = find(probe); c != kNone) fn(c);
-      std::size_t a = 0;
-      while (a < axes_ && off[a] == 1) off[a++] = -1;
-      if (a == axes_) break;
-      ++off[a];
-    }
-  }
-
-  [[nodiscard]] static std::size_t hash(const Key& k) noexcept {
-    std::uint64_t h = 0;
-    for (std::int64_t v : k)
-      h = (h ^ static_cast<std::uint64_t>(v)) * 0x9e3779b97f4a7c15ULL;
-    return static_cast<std::size_t>(h ^ (h >> 32));
-  }
-
-  [[nodiscard]] std::uint32_t find(const Key& key) const noexcept {
-    if (slots_.empty()) return kNone;
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hash(key) & mask;; i = (i + 1) & mask) {
-      const std::uint32_t c = slots_[i];
-      if (c == kNone || cells_[c].key == key) return c;
-    }
-  }
-
-  // Enters cells_[cell], whose key is absent, into the table; the table is
-  // a power of two in size and kept at most half full.
-  void insert(std::uint32_t cell) {
-    if (2 * cells_.size() <= slots_.size()) return place(cell);
-    slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()), kNone);
-    for (std::uint32_t c = 0; c < cells_.size(); ++c) place(c);
-  }
-
-  void place(std::uint32_t cell) noexcept {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hash(cells_[cell].key) & mask;
-    while (slots_[i] != kNone) i = (i + 1) & mask;
-    slots_[i] = cell;
-  }
-
-  std::size_t dim_;
-  std::size_t axes_;
-  double side_;
-  double eps2_;
-  double two_eps2_;
-  std::vector<Cell> cells_;
-  std::vector<std::uint32_t> slots_;  // cell ids by key hash, linear probing
-  std::uint32_t last_ = kNone;  // cell of the previous probe
-};
 }  // namespace
 
 MuRTree::MuRTree(const Dataset& ds, double eps, Config cfg, ThreadPool* pool)
-    : ds_(&ds), eps_(eps), cfg_(cfg), level1_(ds.dim(), cfg.level1) {
+    : ds_(&ds), eps_(eps), cfg_(cfg), centers_(ds.dim(), eps) {
   if (!(eps > 0.0)) throw std::invalid_argument("MuRTree: eps must be > 0");
   if (ds.size() >= std::numeric_limits<std::uint32_t>::max())
     throw std::invalid_argument("MuRTree: too many points for 32-bit slots");
@@ -198,26 +39,26 @@ MuRTree::MuRTree(const Dataset& ds, double eps, Config cfg, ThreadPool* pool)
 
   // Pass 1 (Algorithm 3, BUILD-MICRO-CLUSTERS): assign within eps, defer
   // within 2*eps, otherwise found a new MC. Both passes probe the centre
-  // grid, which lives only for the sweep. The sweep records only point_mc_;
-  // the member lists are laid out afterwards in one pass.
+  // index, whose per-point arrays live only for the sweep. The sweep records
+  // only point_mc_; the member lists are laid out afterwards in one pass.
   obs::Span assign_span(cfg_.tracer, "build.assign");
   std::vector<PointId> unassigned;
   {
-    CenterGrid centers(ds.dim(), eps_);
+    centers_.grid_points(ds);
     const auto found_mc = [&](PointId p) {
       const McId id = static_cast<McId>(mcs_.size());
       MicroCluster mc;
       mc.center = p;
       mcs_.push_back(std::move(mc));
       point_mc_[p] = id;
-      centers.add(ds.ptr(p), id);
+      centers_.add(p, id);
     };
     for (std::size_t i = 0; i < n; ++i) {
       if (guard && i % kBuildCheckStride == 0)
         guard->check_throw("murtree build pass 1");
       const PointId p = static_cast<PointId>(i);
-      const CenterGrid::Probe hit = centers.probe(ds.ptr(p));
-      if (hit.within_eps != kInvalidMc) {
+      const CenterCells::Probe hit = centers_.probe(p);
+      if (hit.within_eps != CenterCells::kNone) {
         point_mc_[p] = hit.within_eps;
       } else if (cfg_.two_eps_rule && hit.within_2eps) {
         unassigned.push_back(p);
@@ -232,23 +73,15 @@ MuRTree::MuRTree(const Dataset& ds, double eps, Config cfg, ThreadPool* pool)
       if (guard && i % kBuildCheckStride == 0)
         guard->check_throw("murtree build pass 2");
       const PointId p = unassigned[i];
-      const McId hit = centers.probe(ds.ptr(p)).within_eps;
-      if (hit != kInvalidMc) {
+      const McId hit = centers_.probe(p).within_eps;
+      if (hit != CenterCells::kNone) {
         point_mc_[p] = hit;
       } else {
         found_mc(p);
       }
     }
+    centers_.finish();
   }
-
-  // Level 1 is built once, STR-packed over the final centres, for the
-  // reachable-MC and serving queries. The entry id is the MC id.
-  std::vector<std::pair<const double*, PointId>> level1_items;
-  level1_items.reserve(mcs_.size());
-  for (McId z = 0; z < mcs_.size(); ++z)
-    level1_items.emplace_back(ds.ptr(mcs_[z].center), z);
-  level1_ =
-      RTree::bulk_load_str(ds.dim(), std::move(level1_items), cfg_.level1);
   assign_span.end();
 
   obs::Span aux_span(cfg_.tracer, "build.aux_trees");
@@ -260,7 +93,7 @@ MuRTree::MuRTree(const Dataset& ds, double eps, Config cfg, ThreadPool* pool)
   // itself, so this is where an undersized budget is meant to trip.
   if (guard) {
     const std::size_t bytes =
-        vector_bytes(point_mc_) + level1_.memory_bytes() + vector_bytes(mcs_) +
+        vector_bytes(point_mc_) + centers_.memory_bytes() + vector_bytes(mcs_) +
         vector_bytes(slot_ids_) + vector_bytes(slot_off_) +
         vector_bytes(mc_leaf_off_) + vector_bytes(leaf_off_) +
         vector_bytes(coords_) + vector_bytes(mc_box_) + vector_bytes(leaf_box_);
@@ -381,23 +214,36 @@ void MuRTree::compute_reachable(ThreadPool* pool) {
   obs::Span span(cfg_.tracer, "build.reachable");
   // Lemma 3: a query from any member of MC(p) can only reach members of MCs
   // whose centre is within 3*eps of p (<=, not <: the lemma's bound is
-  // attained when the query point sits on the MC boundary). The level-1 tree
-  // is read-only here, so the per-MC ball queries run in parallel.
-  const double reach_r = 3.0 * eps_;
+  // attained when the query point sits on the MC boundary). Cells have side
+  // 2*eps, so those centres lie in the cells within two of p's cell on every
+  // gridded axis. The frozen centre index is read-only here, so chunks of
+  // cells run in parallel; each MC writes only its own list.
+  const double reach2 = (3.0 * eps_) * (3.0 * eps_);
+  const std::size_t dim = ds_->dim();
   parallel_for_chunked(
-      pool, mcs_.size(), 64,
+      pool, centers_.num_cells(), 64,
       [&](std::size_t begin, std::size_t end, unsigned) {
-        std::vector<PointId> hits;
-        for (std::size_t z = begin; z < end; ++z) {
-          hits.clear();
-          level1_.query_ball(ds_->point(mcs_[z].center), reach_r, hits,
-                             /*strict=*/false);
-          // MC-id order, not the STR tree's tile order: ids follow point
-          // order, so the per-point walks over reach lists in the later
-          // phases visit member lists and AuxR-trees in allocation order.
-          std::sort(hits.begin(), hits.end());
-          mcs_[z].reach.assign(hits.begin(), hits.end());
-        }
+        std::vector<McId> hits;
+        centers_.for_each_window(
+            begin, end, 2,
+            [&](std::uint32_t cell, std::span<const std::uint32_t> window) {
+              const std::span<const std::uint32_t> own = centers_.ids(cell);
+              const double* cx = centers_.coords(cell);
+              for (std::size_t i = 0; i < own.size(); ++i, cx += dim) {
+                hits.clear();
+                for (std::uint32_t o : window) {
+                  const std::span<const std::uint32_t> ids = centers_.ids(o);
+                  const double* ox = centers_.coords(o);
+                  for (std::size_t j = 0; j < ids.size(); ++j, ox += dim)
+                    if (sq_dist(cx, ox, dim) <= reach2) hits.push_back(ids[j]);
+                }
+                // MC-id order: ids follow point order, so the walks over
+                // reach lists in the later phases visit member lists and
+                // AuxR-trees in allocation order.
+                std::sort(hits.begin(), hits.end());
+                mcs_[own[i]].reach.assign(hits.begin(), hits.end());
+              }
+            });
       },
       cfg_.guard);
 
@@ -411,15 +257,56 @@ void MuRTree::compute_reachable(ThreadPool* pool) {
   }
 }
 
-MuRTree::QueryTally::~QueryTally() {
+void MuRTree::add_counts(const QueryCounts& c) const noexcept {
   const auto add = [](std::atomic<std::uint64_t>& sink, std::uint64_t v) {
     if (v != 0) sink.fetch_add(v, std::memory_order_relaxed);
   };
-  add(tree.aux_searched_, searched);
-  add(tree.aux_node_visits_, nodes);
-  add(tree.aux_dist_evals_, evals);
-  add(tree.aux_kernel_blocks_, blocks);
-  add(tree.aux_kernel_tail_, tail);
+  add(aux_searched_, c.searched);
+  add(aux_node_visits_, c.nodes);
+  add(aux_dist_evals_, c.evals);
+  add(aux_kernel_blocks_, c.blocks);
+  add(aux_kernel_tail_, c.tail);
+}
+
+void MuRTree::gather_candidates(McId z, double radius, bool mbr_filter,
+                                CandidateBlock& b) const {
+  const std::size_t dim = ds_->dim();
+  const double r2 = radius * radius;
+  const double* zlo = &mc_box_[std::size_t{z} * 2 * dim];
+  b.mcs.clear();
+  std::size_t total = 0;
+  for (McId r : mcs_[z].reach) {
+    ++b.nodes;
+    if (mbr_filter) {
+      const double* rlo = &mc_box_[std::size_t{r} * 2 * dim];
+      if (box_box_min_sq_dist(zlo, zlo + dim, rlo, rlo + dim, dim) > r2)
+        continue;
+    }
+    ++b.searched;
+    b.mcs.push_back(r);
+    total += slot_off_[r + 1] - slot_off_[r];
+  }
+  b.ids.resize(total);
+  b.coords.resize(total * dim);
+  b.d2.resize(total);
+  b.hits.resize(total);
+  std::size_t at = 0;
+  for (McId r : b.mcs) {
+    for (std::uint32_t l = mc_leaf_off_[r]; l < mc_leaf_off_[r + 1]; ++l) {
+      const std::size_t begin = leaf_off_[l];
+      const std::size_t cnt = leaf_off_[l + 1] - begin;
+      std::copy_n(&slot_ids_[begin], cnt, &b.ids[at]);
+      const double* src = &coords_[begin * dim];
+      for (std::size_t k = 0; k < dim; ++k)
+        std::copy_n(src + k * cnt, cnt, &b.coords[k * total + at]);
+      at += cnt;
+    }
+  }
+}
+
+void MuRTree::publish_counts(CandidateBlock& b) const {
+  add_counts(b);
+  static_cast<QueryCounts&>(b) = QueryCounts{};
 }
 
 void MuRTree::query_neighborhood(
@@ -439,14 +326,10 @@ void MuRTree::query_neighborhood(
 
 MuRTree::IndexCounters MuRTree::index_counters() const {
   IndexCounters c;
-  c.node_visits = level1_.node_visits() +
-                  aux_node_visits_.load(std::memory_order_relaxed);
-  c.distance_evals = level1_.distance_evals() +
-                     aux_dist_evals_.load(std::memory_order_relaxed);
-  c.kernel_blocks = level1_.kernel_blocks() +
-                    aux_kernel_blocks_.load(std::memory_order_relaxed);
-  c.kernel_tail_points = level1_.kernel_tail_points() +
-                         aux_kernel_tail_.load(std::memory_order_relaxed);
+  c.node_visits = aux_node_visits_.load(std::memory_order_relaxed);
+  c.distance_evals = aux_dist_evals_.load(std::memory_order_relaxed);
+  c.kernel_blocks = aux_kernel_blocks_.load(std::memory_order_relaxed);
+  c.kernel_tail_points = aux_kernel_tail_.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -515,7 +398,21 @@ void MuRTree::check_invariants() const {
   }
   for (std::size_t i = 0; i < n; ++i)
     if (!seen[i]) fail("unassigned point");
-  level1_.check_invariants();
+  centers_.check_invariants();
+  if (centers_.num_centers() != mcs_.size())
+    fail("centre index does not hold every centre once");
+  std::vector<std::uint8_t> listed(mcs_.size(), 0);
+  for (std::uint32_t c = 0; c < centers_.num_cells(); ++c) {
+    const std::span<const std::uint32_t> ids = centers_.ids(c);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const McId z = ids[i];
+      if (z >= mcs_.size() || listed[z] ||
+          std::memcmp(centers_.coords(c) + i * dim, ds_->ptr(mcs_[z].center),
+                      dim * sizeof(double)) != 0)
+        fail("centre index entry is not an MC centre");
+      listed[z] = 1;
+    }
+  }
 }
 
 }  // namespace udb

@@ -1,7 +1,7 @@
-// µR-tree (Section IV-B1, Fig. 1): a two-level R-tree. The first level
+// µR-tree (Section IV-B1, Fig. 1): a two-level index. The first level
 // indexes micro-cluster centres; each micro-cluster owns an auxiliary R-tree
 // (AuxR-tree) over its member points. Breaking one big R-tree into a small
-// tree-of-centres plus many tiny member trees stops MBR overlap from
+// index of centres plus many tiny member trees stops MBR overlap from
 // propagating to the leaves, which is where the paper's query-cost reduction
 // comes from.
 //
@@ -10,13 +10,17 @@
 // point is deferred to an unassignedList (the "2-eps rule" that limits the
 // number of MCs by discouraging overlapping centres); otherwise it founds a
 // new MC. Deferred points are resolved in a second pass (join within eps or
-// found an MC). Both passes probe a hash grid of the centres founded so far
-// (cells of side 2*eps on at most three axes, candidates filtered by the
-// true distance). Founding or deferring depends only on whether *some*
-// centre is within eps or 2*eps, never on which MC a point joins, so the
-// centre set and the deferred count are those of a linear scan over the
-// centres. Level 1 is STR bulk-loaded once over the final centres and serves
-// the reachable-MC and arbitrary-point queries (docs/ALGORITHM.md, Phase 1).
+// found an MC). Both passes probe the centre cell index (index/
+// center_cells.hpp: cells of side 2*eps on at most three axes, neighbour
+// cells listed once per row of sorted keys, candidates filtered by the true
+// distance). Founding or deferring depends only on whether *some* centre is
+// within eps or 2*eps, never on which MC a point joins, so the centre set
+// and the deferred count are those of a linear scan over the centres. A
+// point joins the first centre within eps in its own cell, else in the
+// neighbour cells in key order. The same index, frozen after the sweep, is
+// the first level: it answers the Lemma-3 reach lists from the cells within
+// two of each centre's cell and the arbitrary-position query from the cells
+// the ball spans (docs/ALGORITHM.md, Phases 1-2).
 //
 // The AuxR-trees share one MC-major member store, built once after the
 // sweep: a counting sort by MC gives each MC a contiguous run of slots, and
@@ -26,8 +30,11 @@
 // the MC's run of ids. A one-leaf AuxR-tree is its root MBR plus one block;
 // a larger one is a root MBR over a row of leaf MBRs (STR packs the leaves,
 // and a second level over at most a few dozen leaves would test as many
-// MBRs as it saves). A query tests the root MBR, then each leaf MBR when
-// there are several, and hands each surviving leaf to sq_dist_block_soa.
+// MBRs as it saves). A by-id or position query tests the root MBR, then each
+// leaf MBR when there are several, and hands each surviving leaf to
+// sq_dist_block_soa. Algorithm 6 instead gathers, once per MC, one candidate
+// block from the leaf blocks of the reach MCs near it and runs each of the
+// MC's queries as one kernel pass over that block (gather_candidates).
 
 #pragma once
 
@@ -44,7 +51,7 @@
 #include "common/runguard.hpp"
 #include "common/simd.hpp"
 #include "core/microcluster.hpp"
-#include "index/rtree.hpp"
+#include "index/center_cells.hpp"
 #include "metrics/clustering.hpp"
 
 namespace udb {
@@ -60,7 +67,6 @@ class MuRTree {
     // either joins an MC within eps or immediately founds one). Produces more
     // MCs; clustering stays exact either way.
     bool two_eps_rule = true;
-    RTree::Config level1;
     // Optional run guard (not owned): the MC assignment sweep, AuxR-tree
     // builds, inner-circle and reachable phases run cooperative checkpoints
     // against it, and the built index structures are charged to its memory
@@ -77,7 +83,7 @@ class MuRTree {
   static constexpr std::uint32_t kAuxLeafCap = 16;
 
   // `pool` (optional) parallelizes the embarrassingly parallel build stages:
-  // per-MC AuxR-tree tiling, inner-circle counts, reachable-MC queries.
+  // per-MC AuxR-tree tiling, inner-circle counts, reach lists.
   // The MC assignment sweep itself stays sequential (points join MCs founded
   // by earlier points), so the tree is identical for every thread count.
   MuRTree(const Dataset& ds, double eps) : MuRTree(ds, eps, Config()) {}
@@ -101,7 +107,7 @@ class MuRTree {
   void compute_inner_circles(ThreadPool* pool = nullptr);
 
   // Populates MC.reach for every MC: all MCs whose centre is within 3*eps
-  // (Lemma 3). Each MC's reach list includes itself.
+  // (Lemma 3), in MC-id order. Each MC's reach list includes itself.
   void compute_reachable(ThreadPool* pool = nullptr);
 
   // Exact eps-neighborhood of point p (Lemma 3 + MBR filtration): searches
@@ -141,19 +147,12 @@ class MuRTree {
           "MuRTree::query_neighborhood: wrong dimension");
     QueryTally tally(*this);
     const double r2 = radius * radius;
-    const auto search = [&](PointId r) {
-      search_aux(static_cast<McId>(r), q.data(), r2, true, fn, tally);
-    };
     // Candidate MCs: centres within radius + eps (<=, so a member exactly at
-    // `radius` whose centre sits at the bound is never missed). The level-1
-    // visitor captures one reference, so its std::function never allocates.
-    level1_.visit_ball(
-        q, mc_candidate_radius(radius, eps_),
-        [&search](PointId r, double) {
-          search(r);
-          return true;
-        },
-        /*strict=*/false);
+    // `radius` whose centre sits at the bound is never missed).
+    centers_.visit_ball(q.data(), mc_candidate_radius(radius, eps_),
+                        [&](McId z, double) {
+                          search_aux(z, q.data(), r2, true, fn, tally);
+                        });
   }
   void query_neighborhood(std::span<const double> q, double radius,
                           std::vector<std::pair<PointId, double>>& out) const;
@@ -168,20 +167,69 @@ class MuRTree {
   }
 
   // Number of MCs whose AuxR-tree was actually searched (root MBR passed, or
-  // no filter) across all query_neighborhood calls. Atomic so concurrent
-  // queries from the parallel engine stay race-free.
+  // no filter) across all query_neighborhood calls and candidate gathers.
+  // Atomic so concurrent queries from the parallel engine stay race-free.
   [[nodiscard]] std::uint64_t aux_trees_searched() const noexcept {
     return aux_searched_.load(std::memory_order_relaxed);
   }
 
-  // Aggregated R-tree instrumentation over the level-1 tree and the
-  // AuxR-trees across all queries since construction. An AuxR-tree query
-  // visits the MC's root (one per reachable or candidate MC) and, when the
-  // MC has several leaves, each leaf whose MBR it tests.
+  // Query instrumentation not yet added to the tree's totals.
+  struct QueryCounts {
+    std::uint64_t searched = 0, nodes = 0, evals = 0, blocks = 0, tail = 0;
+  };
+
+  // Algorithm 6's MC-major query form. gather_candidates() copies, once per
+  // MC z, the members of every reach MC whose root MBR comes within `radius`
+  // of z's root MBR (every reach MC when mbr_filter is false) into one
+  // dim-major SoA block; query_candidates() then answers a query from any
+  // member of z with one sq_dist_block_soa pass over it. A neighbour of a
+  // member of z belongs to a reach MC (Lemma 3) whose root MBR is no farther
+  // from z's than the two points are from each other, so for radius <= eps
+  // the answer is query_neighborhood(p, radius)'s: the same members in the
+  // same order (reach-list order, then slot order). The block's counts are
+  // those since the last publish_counts().
+  struct CandidateBlock : QueryCounts {
+    std::vector<PointId> ids;
+    std::vector<double> coords;       // dim-major, stride ids.size()
+    std::vector<double> d2;           // one query's squared distances
+    std::vector<std::uint32_t> hits;  // one query's hits, block positions
+    std::vector<McId> mcs;            // the gathered reach MCs
+    std::size_t lanes = active_simd_lanes();
+  };
+  void gather_candidates(McId z, double radius, bool mbr_filter,
+                         CandidateBlock& b) const;
+  template <class Fn>
+    requires std::invocable<Fn&, PointId, double>
+  void query_candidates(CandidateBlock& b, const double* q, double radius,
+                        Fn&& fn) const {
+    const std::size_t cnt = b.ids.size();
+    const double r2 = radius * radius;
+    sq_dist_block_soa(q, b.coords.data(), cnt, cnt, ds_->dim(), b.d2.data());
+    b.evals += cnt;
+    ++b.blocks;
+    b.tail += cnt % b.lanes;
+    // Branch-free compaction first: about one candidate in four is a hit,
+    // so a branch per candidate would mispredict often.
+    std::uint32_t* hit = b.hits.data();
+    std::size_t hits = 0;
+    for (std::size_t i = 0; i < cnt; ++i) {
+      hit[hits] = static_cast<std::uint32_t>(i);
+      hits += b.d2[i] < r2;
+    }
+    for (std::size_t h = 0; h < hits; ++h) fn(b.ids[hit[h]], b.d2[hit[h]]);
+  }
+  // Adds the block's counts to the tree's totals and zeroes them.
+  void publish_counts(CandidateBlock& b) const;
+
+  // Aggregated query instrumentation across all queries since construction.
+  // A by-id or position query visits the root of each reachable or candidate
+  // MC (one node) and, when the MC has several leaves, each leaf whose MBR it
+  // tests; each surviving leaf is one kernel block. A candidate gather visits
+  // one root per reach MC; each candidate query is one block.
   struct IndexCounters {
     std::uint64_t node_visits = 0;
     std::uint64_t distance_evals = 0;
-    std::uint64_t kernel_blocks = 0;       // leaf SoA blocks SIMD-scanned
+    std::uint64_t kernel_blocks = 0;       // SoA blocks SIMD-scanned
     std::uint64_t kernel_tail_points = 0;  // points in blocks' scalar tails
   };
   [[nodiscard]] IndexCounters index_counters() const;
@@ -190,21 +238,21 @@ class MuRTree {
   // distances < eps from the centre, slots <-> members <-> point_mc agree,
   // each MC's leaves hold its members in blocks of at most kAuxLeafCap with
   // the right SoA coordinates, leaf MBRs contain their points and the root
-  // MBR is their union; level-1 R-tree invariants.
+  // MBR is their union; the centre index holds exactly the MC centres.
   void check_invariants() const;
 
  private:
   // One query's counts, published to the shared atomics once when the query
   // ends (every exit included), so the scan itself stays atomic-free.
-  struct QueryTally {
+  struct QueryTally : QueryCounts {
     explicit QueryTally(const MuRTree& t) : tree(t) {}
     QueryTally(const QueryTally&) = delete;
     QueryTally& operator=(const QueryTally&) = delete;
-    ~QueryTally();
+    ~QueryTally() { tree.add_counts(*this); }
     const MuRTree& tree;
     std::size_t lanes = active_simd_lanes();
-    std::uint64_t searched = 0, nodes = 0, evals = 0, blocks = 0, tail = 0;
   };
+  void add_counts(const QueryCounts& c) const noexcept;
 
   // Searches MC r's AuxR-tree for members strictly within sqrt(r2) of q.
   template <class Fn>
@@ -244,7 +292,7 @@ class MuRTree {
   const Dataset* ds_;
   double eps_;
   Config cfg_;
-  RTree level1_;
+  CenterCells centers_;
   std::vector<MicroCluster> mcs_;
   std::vector<McId> point_mc_;
   std::size_t deferred_ = 0;
@@ -263,7 +311,7 @@ class MuRTree {
   std::vector<double> leaf_box_;
 
   // Budget charge for the index structures (point_mc_, the member store, MC
-  // records, level-1 tree, reach lists); released when the tree is destroyed.
+  // records, centre index, reach lists); released when the tree is destroyed.
   ScopedCharge mem_charge_;
   mutable std::atomic<std::uint64_t> aux_searched_{0};
   mutable std::atomic<std::uint64_t> aux_node_visits_{0};

@@ -1,0 +1,292 @@
+// The MC-centre cell index behind the µR-tree (core/murtree.hpp): one flat
+// grid of micro-cluster centres that serves the Algorithm-3 sweep, the
+// Lemma-3 reach lists and the arbitrary-position (serving) query.
+//
+// Cells have side 2*eps on the first k = min(d, 3) axes, with saturated
+// indices (grid_cell_index). The axes beyond the third are left to the
+// true-distance filter, so one code path serves every d. Cell keys sit
+// sorted in flat arrays. A *row* is a run of cells that agree on every
+// gridded axis but the last, so the cells within m of a cell on every
+// gridded axis are found by (2m+1)^(k-1) row lookups and a sliding window
+// along each row, not by (2m+1)^k key probes.
+//
+// The index has two phases:
+//   * Build (Algorithm 3). grid_points() records the cell of every point and
+//     the neighbour list of every occupied cell (the cells within 1 on every
+//     gridded axis, in key order). probe() and add() then run the sequential
+//     sweep: a centre strictly within 2*eps of a point is less than one side
+//     away on every gridded axis, so it sits in the point's cell or in one of
+//     the listed cells around it.
+//   * Frozen. finish() keeps only the cells that hold centres, lays the
+//     centre ids (ascending within a cell) and coordinates out by cell, and
+//     drops the per-point arrays. for_each_window() walks cells with their
+//     surrounding cells (the reach lists use m = 2: every centre within 3*eps
+//     is at most two cells away), and visit_ball() answers a ball around any
+//     position, falling back to a scan of every row when the ball spans more
+//     rows than the index has.
+
+#pragma once
+
+#include <algorithm>
+#include <array>
+#include <cfloat>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "common/dataset.hpp"
+#include "common/distance.hpp"
+#include "index/grid.hpp"
+
+namespace udb {
+
+class CenterCells {
+ public:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  CenterCells(std::size_t dim, double eps);
+
+  // --- Build phase -------------------------------------------------------
+
+  // Grids every point of `ds` and lists each occupied cell's neighbours.
+  // `ds` must outlive the build phase.
+  void grid_points(const Dataset& ds);
+
+  struct Probe {
+    std::uint32_t within_eps = kNone;  // first centre strictly within eps
+    bool within_2eps = false;          // some centre strictly within 2*eps
+  };
+  // Scans the centres added so far in point p's cell, then in its
+  // neighbour cells in key order; stops at the first centre within eps.
+  [[nodiscard]] Probe probe(PointId p) const noexcept {
+    Probe r;
+    const double* pt = ds_->ptr(p);
+    const std::uint32_t c = point_cell_[p];
+    if (scan(pt, c, r)) return r;
+    for (std::uint32_t j = nbr_off_[c]; j < nbr_off_[c + 1]; ++j)
+      if (scan(pt, nbr_[j], r)) return r;
+    return r;
+  }
+
+  // Adds point p as the centre with id `id`.
+  void add(PointId p, std::uint32_t id);
+
+  // Ends the build: keeps the cells holding centres and frees the rest.
+  void finish();
+
+  // --- Frozen phase ------------------------------------------------------
+
+  [[nodiscard]] std::size_t num_cells() const noexcept { return keys_.size(); }
+  [[nodiscard]] std::size_t num_centers() const noexcept { return ids_.size(); }
+  [[nodiscard]] std::span<const std::uint32_t> ids(
+      std::uint32_t cell) const noexcept {
+    return {ids_.data() + cell_off_[cell],
+            cell_off_[cell + 1] - cell_off_[cell]};
+  }
+  // Row-major coordinates of the cell's centres, in ids() order.
+  [[nodiscard]] const double* coords(std::uint32_t cell) const noexcept {
+    return coords_.data() + std::size_t{cell_off_[cell]} * dim_;
+  }
+
+  // Calls fn(c, window) for every cell c in [begin, end), where `window`
+  // lists, in key order, every cell (c included) within m of c on each
+  // gridded axis. Cells in a chunk share row lookups, so callers split the
+  // cell range into chunks rather than calling once per cell.
+  template <class Fn>
+  void for_each_window(std::size_t begin, std::size_t end, std::int64_t m,
+                       Fn&& fn) const {
+    // The row-key offsets of the neighbour rows, in key order. For each
+    // offset the neighbour row only moves forward as the cells do, so one
+    // cursor per offset walks rows_ once per call.
+    std::vector<Key> offsets(1, Key{});
+    for (std::size_t a = 0; a < last_; ++a) {
+      std::vector<Key> grown;
+      for (const Key& o : offsets)
+        for (std::int64_t d = -m; d <= m; ++d) {
+          Key g = o;
+          g[a] = d;
+          grown.push_back(g);
+        }
+      offsets = std::move(grown);
+    }
+    std::vector<std::uint32_t> row_at(offsets.size(), kNone);
+    std::vector<std::uint32_t> window, cursor, stop;  // one cursor per row
+    std::uint32_t row = kNone;
+    for (std::size_t c = begin; c < end; ++c) {
+      const std::int64_t x = keys_[c][last_];
+      if (cell_row_[c] != row) {
+        row = cell_row_[c];
+        cursor.clear();
+        stop.clear();
+        for (std::size_t o = 0; o < offsets.size(); ++o) {
+          Key want = rows_[row];
+          for (std::size_t a = 0; a < last_; ++a) want[a] += offsets[o][a];
+          std::uint32_t& r = row_at[o];
+          if (r == kNone)
+            r = static_cast<std::uint32_t>(
+                std::lower_bound(rows_.begin(), rows_.end(), want) -
+                rows_.begin());
+          while (r < rows_.size() && rows_[r] < want) ++r;
+          if (r < rows_.size() && rows_[r] == want) {
+            cursor.push_back(lower_bound_in_row(r, x - m));
+            stop.push_back(row_off_[r + 1]);
+          }
+        }
+      }
+      window.clear();
+      for (std::size_t t = 0; t < cursor.size(); ++t) {
+        std::uint32_t j = cursor[t];
+        while (j < stop[t] && keys_[j][last_] < x - m) ++j;
+        cursor[t] = j;
+        for (; j < stop[t] && keys_[j][last_] <= x + m; ++j)
+          window.push_back(j);
+      }
+      fn(static_cast<std::uint32_t>(c), std::span<const std::uint32_t>(window));
+    }
+  }
+
+  // Calls fn(id, squared distance) for every centre within r of q (<=), in
+  // no particular order. Thread-safe on a frozen index.
+  template <class Fn>
+  void visit_ball(const double* q, double r, Fn&& fn) const {
+    const double r2 = r * r;
+    const auto scan_cells = [&](std::uint32_t first, std::uint32_t last) {
+      for (std::uint32_t c = first; c < last; ++c) {
+        const double* xs = coords(c);
+        for (std::uint32_t i = cell_off_[c]; i < cell_off_[c + 1];
+             ++i, xs += dim_) {
+          const double d2 = sq_dist(q, xs, dim_);
+          if (d2 <= r2) fn(ids_[i], d2);
+        }
+      }
+    };
+    // r*r below the normal range loses the relative precision the cell
+    // range below relies on: scan every centre.
+    if (!(r2 >= DBL_MIN))
+      return scan_cells(0, static_cast<std::uint32_t>(num_cells()));
+    // Per-axis cell range of the ball, from a radius inflated well past
+    // rounding: a centre that passes the distance filter lies within it.
+    const double rr = r * (1.0 + 0x1p-20);
+    Key lo{}, hi{};
+    double rows_spanned = 1.0;
+    for (std::size_t a = 0; a < axes_; ++a) {
+      lo[a] = grid_cell_index(q[a] - rr, side_);
+      hi[a] = grid_cell_index(q[a] + rr, side_);
+      if (a != last_) rows_spanned *= static_cast<double>(hi[a] - lo[a]) + 1.0;
+    }
+    const auto scan_row = [&](std::uint32_t row) {
+      std::uint32_t c = lower_bound_in_row(row, lo[last_]);
+      std::uint32_t e = c;
+      while (e < row_off_[row + 1] && keys_[e][last_] <= hi[last_]) ++e;
+      scan_cells(c, e);
+    };
+    if (rows_spanned > static_cast<double>(rows_.size())) {
+      // All-rows fallback: the ball spans more rows than exist.
+      for (std::uint32_t row = 0; row < rows_.size(); ++row) {
+        bool inside = true;
+        for (std::size_t a = 0; a < axes_; ++a)
+          if (a != last_ && (rows_[row][a] < lo[a] || rows_[row][a] > hi[a]))
+            inside = false;
+        if (inside) scan_row(row);
+      }
+      return;
+    }
+    Key at = lo;
+    while (true) {
+      if (const std::uint32_t row = find_row(at); row != kNone) scan_row(row);
+      std::size_t a = 0;
+      while (a < last_ && at[a] == hi[a]) at[a] = lo[a], ++a;
+      if (a >= last_) break;
+      ++at[a];
+    }
+  }
+
+  [[nodiscard]] std::size_t memory_bytes() const noexcept;
+
+  // Test hook (frozen phase): keys strictly ascending, rows and offsets
+  // consistent, every centre's coordinates in its cell.
+  void check_invariants() const;
+
+ private:
+  static constexpr std::size_t kMaxAxes = 3;
+  using Key = std::array<std::int64_t, kMaxAxes>;  // ungridded axes stay 0
+
+  [[nodiscard]] Key key_of(const double* pt) const noexcept {
+    Key key{};
+    for (std::size_t a = 0; a < axes_; ++a)
+      key[a] = grid_cell_index(pt[a], side_);
+    return key;
+  }
+
+  bool scan(const double* pt, std::uint32_t cell, Probe& r) const noexcept {
+    for (std::uint32_t i = head_[cell]; i != kNone; i = next_[i]) {
+      const double d2 = sq_dist(pt, ds_->ptr(bpts_[i]), dim_);
+      if (d2 < eps2_) {
+        r.within_eps = bids_[i];
+        r.within_2eps = true;
+        return true;
+      }
+      if (d2 < two_eps2_) r.within_2eps = true;
+    }
+    return false;
+  }
+
+  // Splits keys_ (sorted) into rows.
+  void build_rows();
+
+  // The row whose key prefix is `key`'s (last gridded axis ignored), or
+  // kNone.
+  [[nodiscard]] std::uint32_t find_row(Key key) const noexcept {
+    key[last_] = 0;
+    const auto it = std::lower_bound(rows_.begin(), rows_.end(), key);
+    return it != rows_.end() && *it == key
+               ? static_cast<std::uint32_t>(it - rows_.begin())
+               : kNone;
+  }
+
+  // First cell of `row` whose last-axis index is >= x.
+  [[nodiscard]] std::uint32_t lower_bound_in_row(
+      std::uint32_t row, std::int64_t x) const noexcept {
+    const auto first = keys_.begin() + row_off_[row];
+    const auto last = keys_.begin() + row_off_[row + 1];
+    const std::size_t axis = last_;
+    return static_cast<std::uint32_t>(
+        std::lower_bound(first, last, x,
+                         [axis](const Key& k, std::int64_t v) {
+                           return k[axis] < v;
+                         }) -
+        keys_.begin());
+  }
+
+  std::size_t dim_;
+  std::size_t axes_;  // gridded axes, min(dim, 3)
+  std::size_t last_;  // the in-row axis, axes_ - 1 (0 when dim is 0)
+  double side_;
+  double eps2_;
+  double two_eps2_;
+
+  // Cells (both phases): sorted keys, their rows, row prefixes.
+  std::vector<Key> keys_;
+  std::vector<std::uint32_t> cell_row_;
+  std::vector<Key> rows_;  // each row's key, last gridded axis 0
+  std::vector<std::uint32_t> row_off_;
+
+  // Build phase: each point's cell, each cell's neighbour cells (self
+  // excluded) and the centres added so far, as per-cell lists threaded
+  // through add order; centre coordinates are read from the dataset.
+  std::vector<std::uint32_t> point_cell_;
+  std::vector<std::uint32_t> nbr_off_;
+  std::vector<std::uint32_t> nbr_;
+  std::vector<std::uint32_t> head_, tail_;  // per cell, kNone when empty
+  std::vector<std::uint32_t> next_;         // per added centre
+  std::vector<std::uint32_t> bids_;
+  std::vector<PointId> bpts_;  // each added centre's point
+  const Dataset* ds_ = nullptr;
+
+  // Frozen phase: centre ids and row-major coordinates by cell.
+  std::vector<std::uint32_t> cell_off_;
+  std::vector<std::uint32_t> ids_;
+  std::vector<double> coords_;
+};
+
+}  // namespace udb

@@ -108,10 +108,7 @@ RTree::RTree(RTree&& other) noexcept
       count_(other.count_),
       enforce_min_fill_(other.enforce_min_fill_),
       dist_evals_(other.dist_evals_.load(std::memory_order_relaxed)),
-      node_visits_(other.node_visits_.load(std::memory_order_relaxed)),
-      kernel_blocks_(other.kernel_blocks_.load(std::memory_order_relaxed)),
-      kernel_tail_points_(
-          other.kernel_tail_points_.load(std::memory_order_relaxed)) {
+      node_visits_(other.node_visits_.load(std::memory_order_relaxed)) {
   other.count_ = 0;
 }
 
@@ -126,11 +123,6 @@ RTree& RTree::operator=(RTree&& other) noexcept {
                       std::memory_order_relaxed);
     node_visits_.store(other.node_visits_.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
-    kernel_blocks_.store(other.kernel_blocks_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    kernel_tail_points_.store(
-        other.kernel_tail_points_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
     other.count_ = 0;
   }
   return *this;
@@ -401,17 +393,11 @@ namespace {
 struct EvalCounter {
   std::atomic<std::uint64_t>& sink;
   std::atomic<std::uint64_t>& node_sink;
-  std::atomic<std::uint64_t>& block_sink;
-  std::atomic<std::uint64_t>& tail_sink;
   std::uint64_t local = 0;
   std::uint64_t nodes = 0;
-  std::uint64_t blocks = 0;
-  std::uint64_t tail = 0;
   ~EvalCounter() {
     if (local != 0) sink.fetch_add(local, std::memory_order_relaxed);
     if (nodes != 0) node_sink.fetch_add(nodes, std::memory_order_relaxed);
-    if (blocks != 0) block_sink.fetch_add(blocks, std::memory_order_relaxed);
-    if (tail != 0) tail_sink.fetch_add(tail, std::memory_order_relaxed);
   }
 };
 
@@ -422,9 +408,7 @@ void RTree::visit_ball(std::span<const double> center, double radius,
                        bool strict) const {
   if (count_ == 0) return;
   const double r2 = radius * radius;
-  const std::size_t lanes = active_simd_lanes();
-  EvalCounter evals{dist_evals_, node_visits_, kernel_blocks_,
-                    kernel_tail_points_};
+  EvalCounter evals{dist_evals_, node_visits_};
 
   // Per-leaf squared distances land here; the filter pass then applies the
   // eps comparison and the visitor. Comparison results are identical to the
@@ -450,8 +434,6 @@ void RTree::visit_ball(std::span<const double> center, double radius,
       sq_dist_block_soa(center.data(), node->block.data(), cnt,
                         node->stride(dim_), dim_, buf);
       evals.local += cnt;
-      ++evals.blocks;
-      evals.tail += cnt % lanes;
       for (std::size_t i = 0; i < cnt; ++i) {
         const bool in = strict ? (buf[i] < r2) : (buf[i] <= r2);
         if (in && !fn(node->ids[i], buf[i])) return;
@@ -514,9 +496,7 @@ void RTree::query_knn(std::span<const double> center, std::size_t k,
                       std::vector<std::pair<PointId, double>>& out) const {
   out.clear();
   if (k == 0 || count_ == 0) return;
-  const std::size_t lanes = active_simd_lanes();
-  EvalCounter evals{dist_evals_, node_visits_, kernel_blocks_,
-                    kernel_tail_points_};
+  EvalCounter evals{dist_evals_, node_visits_};
 
   double stackbuf[kLeafScanBuf];
   std::vector<double> heapbuf;
@@ -556,8 +536,6 @@ void RTree::query_knn(std::span<const double> center, std::size_t k,
       sq_dist_block_soa(center.data(), node->block.data(), cnt,
                         node->stride(dim_), dim_, buf);
       evals.local += cnt;
-      ++evals.blocks;
-      evals.tail += cnt % lanes;
       for (std::size_t i = 0; i < cnt; ++i) {
         const double d2 = buf[i];
         if (out.size() < k) {

@@ -3,10 +3,10 @@
 // This single index class serves these roles in the reproduction:
 //   * the classical DBSCAN baseline (R-DBSCAN) indexes all n points in one
 //     tree;
-//   * the first level of the µR-tree indexes micro-cluster centres (the
-//     AuxR-trees over each MC's members live in the µR-tree's flat member
-//     store, core/murtree.hpp, with the same SoA leaves);
-//   * the incremental engine indexes its MC centres.
+//   * the incremental engine indexes its MC centres, and k-dist and the
+//     distributed merge index their points (the µR-tree's own levels are
+//     the centre cell index, index/center_cells.hpp, and a flat member
+//     store with the same SoA leaves, core/murtree.hpp).
 //
 // Leaves store their entries as structure-of-arrays coordinate blocks:
 // a leaf-local packed `double` buffer laid out dim-major (coordinate k of
@@ -113,17 +113,6 @@ class RTree {
     return node_visits_.load(std::memory_order_relaxed);
   }
 
-  // SIMD kernel instrumentation: number of leaf blocks handed to the
-  // dispatched distance kernel, and how many of the scanned points fell in a
-  // block's scalar tail (count % active lanes) — together they show how much
-  // of the scan work was actually vectorized.
-  [[nodiscard]] std::uint64_t kernel_blocks() const noexcept {
-    return kernel_blocks_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t kernel_tail_points() const noexcept {
-    return kernel_tail_points_.load(std::memory_order_relaxed);
-  }
-
   struct Stats {
     std::size_t height = 0;
     std::size_t internal_nodes = 0;
@@ -161,8 +150,6 @@ class RTree {
   bool enforce_min_fill_ = true;  // false for STR bulk-loaded trees
   mutable std::atomic<std::uint64_t> dist_evals_{0};
   mutable std::atomic<std::uint64_t> node_visits_{0};
-  mutable std::atomic<std::uint64_t> kernel_blocks_{0};
-  mutable std::atomic<std::uint64_t> kernel_tail_points_{0};
 };
 
 }  // namespace udb

@@ -7,6 +7,7 @@
 #include "data/generators.hpp"
 #include "dist/mudbscan_d.hpp"
 #include "metrics/exactness.hpp"
+#include "metrics/verify.hpp"
 #include "obs/metrics.hpp"
 
 namespace udb {
@@ -156,6 +157,40 @@ TEST(MuDbscan, DynamicPromotionSavesQueries) {
   cfg.dynamic_promotion = false;
   (void)mu_dbscan(ds, prm, &without_promo, cfg);
   EXPECT_LE(with_promo.queries_performed, without_promo.queries_performed);
+}
+
+// Algorithm 6 runs MC by MC over one candidate block per MC; with and
+// without the MBR filter that gathers it, and at every thread count, the
+// result must satisfy the DBSCAN conditions checked from first principles.
+TEST(MuDbscan, McMajorAlgorithm6PassesVerifyAtEveryThreadCount) {
+  GalaxyConfig gcfg;
+  gcfg.halos = 6;
+  gcfg.box = 80.0;
+  const std::vector<std::pair<Dataset, DbscanParams>> cases = {
+      {gen_galaxy(2500, gcfg, 12), DbscanParams{1.5, 5}},
+      {gen_blobs(2000, 3, 4, 40.0, 2.0, 0.2, 13), DbscanParams{2.5, 8}},
+      {gen_uniform(1500, 2, 0.0, 20.0, 14), DbscanParams{1.0, 4}}};
+  for (const auto& [ds, prm] : cases) {
+    const auto truth = brute_dbscan(ds, prm);
+    for (bool filter : {true, false}) {
+      for (unsigned threads : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE("n=" + std::to_string(ds.size()) + " filter=" +
+                     std::to_string(filter) + " threads=" +
+                     std::to_string(threads));
+        MuDbscanConfig cfg;
+        cfg.mbr_filtration = filter;
+        cfg.num_threads = threads;
+        MuDbscanStats st;
+        const auto got = mu_dbscan(ds, prm, &st, cfg);
+        const VerifyReport rep = verify_dbscan(ds, prm, got);
+        EXPECT_TRUE(rep.valid()) << rep.detail;
+        EXPECT_TRUE(compare_exact(truth, got).exact());
+        EXPECT_EQ(st.queries_performed + st.avoided_dmc + st.avoided_cmc +
+                      st.avoided_promotion,
+                  ds.size());
+      }
+    }
+  }
 }
 
 TEST(MuDbscan, NoisePromotedToBorderByLateWndqCore) {

@@ -380,6 +380,90 @@ TEST(MuRTreeFlatStore, QueriesMatchLinearScanAtEveryDimAndTarget) {
   }
 }
 
+// ---- the centre cell index: reach lists and position queries -----------
+
+// Lattice of step 1.5 * eps on the first three axes (so many centres sit
+// exactly 3 * eps apart), rarely off zero on the others, plus copies of
+// some points with one coordinate at +-1e300 (saturated cell indices).
+Dataset reach_lattice(std::size_t dim, std::size_t n, double eps,
+                      std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> coords;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t k = 0; k < dim; ++k) {
+      const double steps =
+          k < 3 ? static_cast<double>(rng.uniform_index(6))
+                : (rng.uniform_index(32) == 0 ? 1.0 : 0.0);
+      coords.push_back(1.5 * eps * steps);
+    }
+  for (std::size_t i = 0; i < n / 10; ++i) {
+    const std::size_t src = rng.uniform_index(n);
+    for (std::size_t k = 0; k < dim; ++k) {
+      double v = coords[src * dim + k];
+      if (k == i % std::min<std::size_t>(dim, 4))
+        v = i % 2 == 0 ? 1e300 : -1e300;
+      coords.push_back(v);
+    }
+  }
+  return Dataset(dim, std::move(coords));
+}
+
+TEST(MuRTree, ReachListsMatchLinearScanAtEveryDimAndTarget) {
+  TargetGuard guard;
+  for (std::size_t dim : {1u, 2u, 3u, 14u, 74u}) {
+    for (double eps : {1.0, 0.1}) {
+      const Dataset ds = reach_lattice(dim, 400, eps, 40 + dim);
+      for (SimdTarget t : runnable_simd_targets()) {
+        force_simd_target(t);
+        SCOPED_TRACE("d=" + std::to_string(dim) + " eps=" +
+                     std::to_string(eps) + " target=" + simd_target_name(t));
+        MuRTree tree(ds, eps);
+        tree.compute_reachable();
+        ASSERT_NO_THROW(tree.check_invariants());
+        const double reach2 = (3.0 * eps) * (3.0 * eps);
+        std::size_t exact_3eps = 0;
+        for (McId z = 0; z < tree.num_mcs(); ++z) {
+          const double* cz = ds.ptr(tree.mc(z).center);
+          std::vector<McId> want;
+          for (McId o = 0; o < tree.num_mcs(); ++o) {
+            const double d2 = sq_dist(cz, ds.ptr(tree.mc(o).center), dim);
+            if (d2 <= reach2) want.push_back(o);
+            exact_3eps += d2 == reach2;
+          }
+          ASSERT_EQ(tree.mc(z).reach, want) << "MC " << z;
+        }
+        if (eps == 1.0) {
+          EXPECT_GT(exact_3eps, 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(MuRTree, PositionQueryMatchesLinearScanPastTheAllCellsFallback) {
+  const double eps = 1.0;
+  for (std::size_t dim : {1u, 2u, 3u, 14u}) {
+    const Dataset ds = reach_lattice(dim, 300, eps, 60 + dim);
+    MuRTree tree(ds, eps);
+    Rng rng(dim);
+    for (int i = 0; i < 20; ++i) {
+      std::vector<double> q(dim);
+      for (std::size_t k = 0; k < dim; ++k)
+        q[k] = i % 2 == 0 ? ds.ptr(static_cast<PointId>(i))[k]
+                          : rng.uniform(-1.0, 9.0);
+      // From half an eps up to radii that span every cell, where the centre
+      // index scans all rows instead of looking each one up.
+      for (double radius : {0.5, 1.0, 1.5, 3.0, 7.0, 30.0, 1e6}) {
+        SCOPED_TRACE("d=" + std::to_string(dim) + " radius=" +
+                     std::to_string(radius));
+        Hits got;
+        tree.query_neighborhood(std::span<const double>(q), radius * eps, got);
+        expect_same_hits(got, linear_ball(ds, q.data(), radius * eps));
+      }
+    }
+  }
+}
+
 TEST(MuRTreeFlatStore, UnfilteredQuerySearchesEveryReachableMc) {
   Dataset ds = gen_blobs(1200, 2, 5, 60.0, 2.0, 0.1, 31);
   MuRTree tree(ds, 1.5);
