@@ -69,10 +69,10 @@ enum class Counter : std::uint32_t {
   kUnionCalls,                 // union-find unite() invocations
 
   // muR-tree internals.
-  kAuxTreesSearched,           // AuxR-tree descents during neighborhood queries
-  kRtreeNodeVisits,            // R-tree nodes popped (level-1 + aux combined)
-  kRtreeDistanceEvals,         // leaf point-distance evaluations
-  kKernelBlocks,               // leaf SoA blocks handed to the SIMD kernel
+  kAuxTreesSearched,           // AuxR-trees searched by queries and gathers
+  kRtreeNodeVisits,            // R-tree nodes tested (µR-tree: AuxR-trees)
+  kRtreeDistanceEvals,         // leaf / candidate-block distance evaluations
+  kKernelBlocks,               // SoA blocks handed to the SIMD kernel
   kKernelTailPoints,           // scanned points in a block's scalar tail
 
   // Serving layer (src/serve/, docs/SERVING.md). The classify ledger mirrors
