@@ -1,7 +1,7 @@
 // Stream clustering (the paper's future-work direction, Section VII):
-// points arrive in waves; the online micro-cluster summary answers "how many
-// guaranteed core points so far?" instantly after every wave, and the exact
-// DBSCAN clustering of everything seen so far is available on demand.
+// points arrive in waves; the incremental engine keeps the exact core count
+// current after every wave, and the exact DBSCAN clustering of everything
+// seen so far is available on demand.
 //
 // The second half is the serving refresh loop (docs/SERVING.md): after each
 // wave the stream is snapshotted into an immutable ClusterModel and swapped
@@ -15,7 +15,7 @@
 
 #include "common/cli.hpp"
 #include "common/timer.hpp"
-#include "core/streaming.hpp"
+#include "core/incremental.hpp"
 #include "data/generators.hpp"
 #include "obs/metrics.hpp"
 #include "serve/model.hpp"
@@ -32,10 +32,10 @@ int main(int argc, char** argv) {
   cfg.point_sigma = 0.7;
   const udb::Dataset data = udb::gen_galaxy(n, cfg, /*seed=*/33);
 
-  udb::StreamingMuDbscan stream(data.dim(), {eps, min_pts});
+  udb::IncrementalMuDbscan stream(data.dim(), {eps, min_pts});
   std::printf("streaming %zu galaxy points in %zu waves\n", n, waves);
   std::printf("%8s %8s %12s %14s %10s %11s\n", "points", "MCs",
-              "ingest(ms)", "core bound", "clusters", "offline(ms)");
+              "ingest(ms)", "cores", "clusters", "offline(ms)");
 
   const std::size_t wave_size = (n + waves - 1) / waves;
   for (std::size_t start = 0; start < n; start += wave_size) {
@@ -45,20 +45,18 @@ int main(int argc, char** argv) {
       stream.insert(data.point(static_cast<udb::PointId>(i)));
     const double t_ingest = ingest.seconds();
 
-    // The lower bound is free; the exact result triggers the offline phase.
-    const std::size_t bound = stream.guaranteed_core_lower_bound();
+    // The core count is maintained; the labels are extracted on demand.
     udb::WallTimer offline;
-    const auto& result = stream.result();
+    const auto result = stream.result();
     std::printf("%8zu %8zu %12.1f %14zu %10zu %11.1f\n", stream.size(),
-                stream.num_mcs(), t_ingest * 1e3, bound,
+                stream.num_mcs(), t_ingest * 1e3, stream.num_core(),
                 result.num_clusters(), offline.seconds() * 1e3);
   }
 
-  const auto& final_result = stream.result();
-  std::printf("final: %zu clusters, %zu cores (online bound had %zu), "
-              "%zu noise\n",
+  const auto final_result = stream.result();
+  std::printf("final: %zu clusters, %zu cores, %zu noise\n",
               final_result.num_clusters(), final_result.num_core(),
-              stream.guaranteed_core_lower_bound(), final_result.num_noise());
+              final_result.num_noise());
 
   // ---- ingest -> refresh() -> query: the serving refresh loop ------------
   // Re-run the same stream, but this time publish a servable model after
@@ -70,7 +68,7 @@ int main(int argc, char** argv) {
   std::printf("%8s %12s %10s %10s %10s %10s\n", "points", "refresh(ms)",
               "clusters", "probe-core", "probe-brd", "probe-noise");
 
-  udb::StreamingMuDbscan live(data.dim(), {eps, min_pts});
+  udb::IncrementalMuDbscan live(data.dim(), {eps, min_pts});
   udb::obs::MetricsRegistry metrics;
   std::shared_ptr<udb::serve::ServedModel> served;  // created on first wave
   const std::size_t probe_n = std::min<std::size_t>(wave_size, 2000);

@@ -61,15 +61,6 @@ class Dataset {
     coords_.insert(coords_.end(), p.begin(), p.end());
   }
 
-  // Appends several points at once from a row-major coordinate run (must be
-  // a whole number of points). One insert instead of a per-point loop — the
-  // streaming module materializes chunk-sized runs through this.
-  void append_raw(std::span<const double> coords) {
-    if (dim_ == 0 || coords.size() % dim_ != 0)
-      throw std::invalid_argument("Dataset::append_raw: not a multiple of dim");
-    coords_.insert(coords_.end(), coords.begin(), coords.end());
-  }
-
   void reserve(std::size_t npoints) { coords_.reserve(npoints * dim_); }
 
   // Returns a dataset containing the points at `ids`, in order.

@@ -43,7 +43,7 @@
 #include "serve/snapshot.hpp"
 
 namespace udb {
-class StreamingMuDbscan;
+class IncrementalMuDbscan;
 }
 
 namespace udb::obs {
@@ -165,12 +165,12 @@ class ServedModel {
   std::atomic<std::shared_ptr<const ClusterModel>> model_;
 };
 
-// Snapshots a streaming clusterer (its exact offline result over everything
-// ingested so far) and builds a servable model from it — the refresh-loop
-// producer (examples/stream_clustering.cpp). Copies the materialized dataset;
-// the stream keeps ingesting independently afterwards.
+// Snapshots an incremental engine (its exact result over the alive points)
+// and builds a servable model from it — the refresh-loop producer
+// (examples/stream_clustering.cpp). Copies the survivors; the engine keeps
+// ingesting independently afterwards.
 [[nodiscard]] StatusOr<std::shared_ptr<const ClusterModel>> model_from_stream(
-    StreamingMuDbscan& stream, ThreadPool* pool = nullptr,
+    const IncrementalMuDbscan& engine, ThreadPool* pool = nullptr,
     RunGuard* guard = nullptr);
 
 // Convenience: snapshot a servable model back to disk (the inverse of

@@ -25,7 +25,7 @@
 // generation exists at all.
 //
 // recover_stream composes the store with the write-ahead log (core/wal.*):
-// newest intact generation seeds a StreamingMuDbscan, the WAL's committed
+// newest intact generation seeds an IncrementalMuDbscan, the WAL's committed
 // records replay on top — the restart path that makes streaming ingest
 // durable (tools/crashharness asserts the result is bit-identical to
 // fit-from-scratch over the recovered prefix).
@@ -38,11 +38,10 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "core/mudbscan.hpp"
 #include "serve/snapshot.hpp"
 
 namespace udb {
-class StreamingMuDbscan;
+class IncrementalMuDbscan;
 class RunGuard;
 }  // namespace udb
 
@@ -90,7 +89,7 @@ class SnapshotStore {
 // ---- WAL-backed streaming recovery ----------------------------------------
 
 struct RecoveredStream {
-  std::unique_ptr<StreamingMuDbscan> stream;
+  std::unique_ptr<IncrementalMuDbscan> engine;
   std::uint64_t generation = 0;    // 0: no snapshot generation found
   std::size_t snapshot_points = 0; // points seeded from the snapshot
   std::uint64_t wal_records = 0;   // committed WAL records replayed
@@ -118,7 +117,6 @@ struct RecoveredStream {
 // docs/ROBUSTNESS.md §Deletes).
 [[nodiscard]] StatusOr<RecoveredStream> recover_stream(
     const SnapshotStore& store, const std::string& wal_path, std::size_t dim,
-    const DbscanParams& params, MuDbscanConfig cfg = {},
-    RunGuard* guard = nullptr);
+    const DbscanParams& params, RunGuard* guard = nullptr);
 
 }  // namespace udb::serve

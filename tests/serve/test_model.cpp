@@ -18,8 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/incremental.hpp"
 #include "core/mudbscan.hpp"
-#include "core/streaming.hpp"
 #include "data/generators.hpp"
 #include "metrics/exactness.hpp"
 #include "obs/metrics.hpp"
@@ -317,19 +317,20 @@ TEST(ModelFromStreamTest, ClassifyAgreesWithOfflineModelAfterDeletes) {
   // would_be_core, and neighbor count all participate) must be
   // byte-identical to a model fit offline on the surviving points.
   const Dataset all = gen_blobs(700, 2, 4, 20.0, 1.0, 0.1, 33);
-  StreamingMuDbscan stream(2, DbscanParams{kEps, kMinPts});
-  stream.insert_batch(all);
-  for (PointId id = 0; id < 700; id += 7) ASSERT_TRUE(stream.erase(id));
+  IncrementalMuDbscan engine(2, DbscanParams{kEps, kMinPts});
+  for (std::size_t i = 0; i < all.size(); ++i)
+    engine.insert(all.point(static_cast<PointId>(i)));
+  for (PointId id = 0; id < 700; id += 7) ASSERT_TRUE(engine.erase(id));
   const Dataset extra = gen_blobs(60, 2, 2, 20.0, 1.0, 0.1, 34);
   for (std::size_t i = 0; i < extra.size(); ++i)
-    stream.insert(extra.point(static_cast<PointId>(i)));
+    engine.insert(extra.point(static_cast<PointId>(i)));
 
-  auto online = serve::model_from_stream(stream);
+  auto online = serve::model_from_stream(engine);
   ASSERT_TRUE(online.ok()) << online.status().to_string();
 
   serve::ModelSnapshot snap;
-  snap.data = stream.dataset();
-  snap.params = stream.params();
+  snap.data = engine.survivors();
+  snap.params = engine.params();
   snap.result = canonicalize_clustering(snap.data, snap.params,
                                         mu_dbscan(snap.data, snap.params));
   auto offline = serve::ClusterModel::build(std::move(snap));
@@ -360,8 +361,8 @@ TEST(ModelFromStreamTest, ClassifyAgreesWithOfflineModelAfterDeletes) {
 }
 
 TEST(ModelFromStreamTest, EmptyStreamRefusesToServe) {
-  StreamingMuDbscan stream(2, DbscanParams{1.0, 5});
-  auto m = serve::model_from_stream(stream);
+  IncrementalMuDbscan engine(2, DbscanParams{1.0, 5});
+  auto m = serve::model_from_stream(engine);
   ASSERT_FALSE(m.ok());
   EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
 }
@@ -369,18 +370,18 @@ TEST(ModelFromStreamTest, EmptyStreamRefusesToServe) {
 TEST(ModelFromStreamTest, SnapshotsMatchBatchAfterEveryIngestRound) {
   // Three ingest rounds with a model snapshot after each: the streaming
   // producer must hand out exactly the batch clustering of everything
-  // ingested so far, and the incrementally materialized dataset must be the
-  // points in insertion order.
+  // ingested so far, and the served dataset must be the points in insertion
+  // order.
   const Dataset all = gen_blobs(900, 2, 5, 25.0, 1.0, 0.1, 21);
-  StreamingMuDbscan stream(2, DbscanParams{kEps, kMinPts});
+  IncrementalMuDbscan engine(2, DbscanParams{kEps, kMinPts});
 
   std::size_t ingested = 0;
   for (std::size_t round = 0; round < 3; ++round) {
     const std::size_t until = all.size() * (round + 1) / 3;
     for (; ingested < until; ++ingested)
-      stream.insert(all.point(static_cast<PointId>(ingested)));
+      engine.insert(all.point(static_cast<PointId>(ingested)));
 
-    auto m = serve::model_from_stream(stream);
+    auto m = serve::model_from_stream(engine);
     ASSERT_TRUE(m.ok()) << m.status().to_string();
     EXPECT_EQ((*m)->size(), until);
 

@@ -20,7 +20,8 @@
 #include <vector>
 
 #include "common/vfs.hpp"
-#include "core/streaming.hpp"
+#include "core/incremental.hpp"
+#include "core/mudbscan.hpp"
 #include "core/wal.hpp"
 #include "data/generators.hpp"
 #include "metrics/exactness.hpp"
@@ -228,25 +229,26 @@ class RecoverTest : public SnapstoreTest {
   }
 
   void publish(SnapshotStore& store, std::size_t upto) {
-    StreamingMuDbscan stream(kDim, params_);
-    stream.insert_batch(slice(0, upto));
+    IncrementalMuDbscan engine(kDim, params_);
+    for (std::size_t i = 0; i < upto; ++i)
+      engine.insert(script_.point(static_cast<PointId>(i)));
     ModelSnapshot snap;
-    snap.result = stream.result();
-    snap.data = stream.dataset();
+    snap.result = engine.result();
+    snap.data = engine.survivors();
     snap.params = params_;
     ASSERT_TRUE(store.save(snap).ok());
   }
 
   void expect_exact_prefix(const serve::RecoveredStream& rec,
                            std::size_t expect_points) {
-    ASSERT_EQ(rec.stream->size(), expect_points);
+    ASSERT_EQ(rec.engine->size(), expect_points);
     if (expect_points == 0) return;
-    EXPECT_EQ(rec.stream->dataset().raw(),
+    EXPECT_EQ(rec.engine->survivors().raw(),
               slice(0, expect_points).raw());
     const ClusteringResult fresh =
         mu_dbscan(slice(0, expect_points), params_);
-    EXPECT_EQ(rec.stream->result().label, fresh.label);
-    EXPECT_EQ(rec.stream->result().is_core, fresh.is_core);
+    EXPECT_EQ(rec.engine->result().label, fresh.label);
+    EXPECT_EQ(rec.engine->result().is_core, fresh.is_core);
   }
 };
 
@@ -256,7 +258,7 @@ TEST_F(RecoverTest, NothingOnDiskRecoversAnEmptyStream) {
   auto rec = serve::recover_stream(*store, dir("rec_empty") + "/wal", kDim,
                                    params_);
   ASSERT_TRUE(rec.ok()) << rec.status().to_string();
-  EXPECT_EQ(rec->stream->size(), 0u);
+  EXPECT_EQ(rec->engine->size(), 0u);
   EXPECT_EQ(rec->generation, 0u);
 }
 
@@ -369,7 +371,7 @@ TEST_F(RecoverTest, EpochMatchedLogReplaysInsertsAndTombstonesInOrder) {
   EXPECT_EQ(rec->wal_records, 3u);
   EXPECT_EQ(rec->wal_points, 50u);
   EXPECT_EQ(rec->wal_deletes, 2u);
-  ASSERT_EQ(rec->stream->size(), 198u);
+  ASSERT_EQ(rec->engine->size(), 198u);
 
   std::vector<double> surv;
   for (std::size_t i = 0; i < 200; ++i) {
@@ -378,11 +380,11 @@ TEST_F(RecoverTest, EpochMatchedLogReplaysInsertsAndTombstonesInOrder) {
                 script_.raw().begin() + (i + 1) * kDim);
   }
   Dataset survivors(kDim, std::move(surv));
-  EXPECT_EQ(rec->stream->dataset().raw(), survivors.raw());
+  EXPECT_EQ(rec->engine->survivors().raw(), survivors.raw());
   const ClusteringResult fresh = canonicalize_clustering(
       survivors, params_, mu_dbscan(survivors, params_));
-  EXPECT_EQ(rec->stream->result().label, fresh.label);
-  EXPECT_EQ(rec->stream->result().is_core, fresh.is_core);
+  EXPECT_EQ(rec->engine->result().label, fresh.label);
+  EXPECT_EQ(rec->engine->result().is_core, fresh.is_core);
 }
 
 TEST_F(RecoverTest, EpochMismatchSkipsTombstoneLogWholesale) {
