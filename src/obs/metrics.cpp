@@ -47,7 +47,6 @@ const char* counter_name(Counter c) {
     case Counter::kServePointInfoLookups: return "serve_point_info_lookups";
     case Counter::kServeModelRefreshes: return "serve_model_refreshes";
     case Counter::kServeCorruptFrames: return "serve_corrupt_frames";
-    case Counter::kServeLegacyClients: return "serve_legacy_clients";
     case Counter::kServeShedLoad: return "serve_shed_load";
     case Counter::kServeShedConnections: return "serve_shed_connections";
     case Counter::kServeIdleDisconnects: return "serve_idle_disconnects";
@@ -104,7 +103,6 @@ const char* counter_unit(Counter c) {
     case Counter::kServeNeighborQueries: return "queries";
     case Counter::kServeModelRefreshes: return "swaps";
     case Counter::kServeCorruptFrames: return "frames";
-    case Counter::kServeLegacyClients:
     case Counter::kServeShedConnections:
     case Counter::kServeIdleDisconnects:
       return "connections";

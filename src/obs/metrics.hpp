@@ -91,10 +91,9 @@ enum class Counter : std::uint32_t {
   kServePointInfoLookups,      // point_info answers produced
   kServeModelRefreshes,        // served-model swaps (refresh())
 
-  // Serving robustness (protocol v2 + overload protection + retrying
+  // Serving robustness (CRC envelope + overload protection + retrying
   // client; docs/SERVING.md failure-mode matrix).
   kServeCorruptFrames,         // frames refused by the transport (CRC / framing)
-  kServeLegacyClients,         // v1 frames answered UNIMPLEMENTED
   kServeShedLoad,              // requests shed RESOURCE_EXHAUSTED (admission)
   kServeShedConnections,       // connections shed at accept (budget full)
   kServeIdleDisconnects,       // connections closed by the idle timeout

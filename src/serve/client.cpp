@@ -144,13 +144,12 @@ StatusOr<Response> Client::raw_roundtrip(std::span<const std::uint8_t> body) {
   if (Status st = write_frame(sock_, body); !st.ok()) return st;
   StatusOr<std::vector<std::uint8_t>> frame = read_frame(sock_);
   if (!frame.ok()) return frame.status();
-  // The server answers v2-framed, except to a frame it classified as v1 —
-  // that answer comes back bare so a legacy client can decode it.
-  std::span<const std::uint8_t> payload(*frame);
   FrameV2 env;
-  if (parse_frame_v2(payload, env).ok()) payload = env.payload;
+  if (Status st = parse_frame_v2(std::span<const std::uint8_t>(*frame), env);
+      !st.ok())
+    return st;
   Response resp;
-  if (Status st = decode_response(payload, resp); !st.ok()) return st;
+  if (Status st = decode_response(env.payload, resp); !st.ok()) return st;
   return resp;
 }
 

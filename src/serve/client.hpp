@@ -27,7 +27,7 @@ class Client {
   Client(Client&&) = default;
   Client& operator=(Client&&) = default;
 
-  // One v2 frame out, one back. A transport failure comes back as the
+  // One frame out, one back. A transport failure comes back as the
   // Status; a server-side error comes back as an OK StatusOr whose Response
   // carries code != kOk (call resp.to_status()). The response envelope must
   // echo the request id — except id 0, the server's "could not attribute"

@@ -267,7 +267,7 @@ Status write_frame(const Socket& s, std::span<const std::uint8_t> body) {
       }
       case FaultAction::kCorrupt: {
         // One byte flipped in flight: the frame arrives with a valid length
-        // prefix but damaged contents — exactly what the protocol-v2 CRC
+        // prefix but damaged contents — exactly what the frame CRC
         // exists to catch.
         std::vector<std::uint8_t> damaged(body.begin(), body.end());
         if (!damaged.empty())

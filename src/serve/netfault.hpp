@@ -4,7 +4,7 @@
 // operation into a seeded dice roll:
 //
 //   * write faults — a frame leaving through write_frame can be delayed,
-//     corrupted (one payload byte flipped — what the protocol-v2 CRC must
+//     corrupted (one payload byte flipped — what the frame CRC must
 //     catch), truncated (a prefix crosses the wire, then the connection
 //     closes), or dropped (the connection is shut down before sending);
 //   * read faults — a frame arriving through read_frame can be delayed,

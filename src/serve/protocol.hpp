@@ -3,19 +3,21 @@
 //
 //   u32 frame_bytes | frame body
 //
-// and since protocol v2 every body is an integrity-checked envelope:
+// and every body is one integrity-checked envelope:
 //
-//   u8 0xB2 (v2 marker) | u64 request_id | u32 crc32 | payload
+//   u8 0xB3 | u64 request_id | u64 trace_id | u64 parent_span_id | u32 crc32
+//          | payload
 //
-// The CRC (IEEE CRC-32 over request_id bytes ++ payload) is verified before
-// any payload parsing, so a frame corrupted in flight is *detected at the
-// transport* and answered with a clean DATA_LOSS — never parsed, never
-// answered with garbage. The request id is chosen by the client and echoed
-// verbatim by the server: it keys idempotent retries (classify is read-only,
-// so at-least-once delivery is safe) and catches a desynced stream (an echo
-// mismatch is DATA_LOSS). A v1 body (one that starts with a bare message
-// type byte) is recognized and refused with a clean UNIMPLEMENTED error in
-// v1 framing, so legacy clients fail loudly, not mysteriously.
+// The CRC (IEEE CRC-32 over the 24 header bytes request_id ++ trace_id ++
+// parent_span_id, then the payload) is verified before any payload parsing,
+// so a frame corrupted in flight is *detected at the transport* and
+// answered with a clean DATA_LOSS — never parsed, never answered with
+// garbage. The request id is chosen by the client and echoed verbatim by the
+// server: it keys idempotent retries (classify is read-only, so
+// at-least-once delivery is safe) and catches a desynced stream (an echo
+// mismatch is DATA_LOSS). A zero trace context means the request is
+// untraced; responses always carry zeros. A body whose first byte is not
+// 0xB3 is DATA_LOSS.
 //
 // Inside the envelope the payload starts with a u8 message type. Responses
 // echo the request type and carry a u8 status code (StatusCode numeric
@@ -46,26 +48,9 @@ inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;  // 64 MiB
 // cannot ask for unbounded work (docs/SERVING.md, operational limits).
 inline constexpr std::uint32_t kMaxBatchPoints = 1u << 20;
 
-// Protocol v2 envelope. The marker byte deliberately collides with no v1
-// message type (v1 bodies start with 1..6), so the two generations are
-// distinguishable from the first byte of the body.
-inline constexpr std::uint8_t kProtocolV2Marker = 0xB2;
-inline constexpr std::size_t kFrameV2HeaderBytes =
-    1 /*marker*/ + 8 /*request_id*/ + 4 /*crc32*/;
-
-// Trace-context extension (docs/OBSERVABILITY.md, "Live telemetry"): a
-// traced frame replaces the 0xB2 marker with 0xB3 and inserts a trace id and
-// parent span id between the request id and the CRC, all CRC-covered:
-//
-//   u8 0xB3 | u64 request_id | u64 trace_id | u64 parent_span_id | u32 crc32
-//          | payload
-//
-// Untraced frames keep the byte-identical 0xB2 layout, so a v2-only peer and
-// a trace-aware peer interoperate: parse_frame_v2 accepts both markers and
-// reports trace_id = 0 for untraced frames. Responses are always untraced
-// (the client already knows the trace id it sent).
-inline constexpr std::uint8_t kProtocolV2TracedMarker = 0xB3;
-inline constexpr std::size_t kFrameV2TracedHeaderBytes =
+// The envelope's first byte, and its size before the payload.
+inline constexpr std::uint8_t kFrameMarker = 0xB3;
+inline constexpr std::size_t kFrameHeaderBytes =
     1 /*marker*/ + 8 /*request_id*/ + 8 /*trace_id*/ + 8 /*parent_span_id*/ +
     4 /*crc32*/;
 
@@ -76,7 +61,7 @@ enum class MsgType : std::uint8_t {
   kPointInfo = 4,  // req: u64 id
   kStats = 5,      // req: empty; resp: u32 len | metrics JSON
   kModelInfo = 6,  // req: empty; resp: n, dim, eps, min_pts, num_clusters
-  kTelemetry = 7,  // req: u8 format; resp: live telemetry (v2-only message)
+  kTelemetry = 7,  // req: u8 format; resp: live telemetry
 };
 
 // Requested exposition for kTelemetry. Binary is the machine form
@@ -164,10 +149,10 @@ struct Response {
 [[nodiscard]] Status decode_response(std::span<const std::uint8_t> body,
                                      Response& out);
 
-// ---- protocol v2 envelope ------------------------------------------------
+// ---- envelope --------------------------------------------------------------
 
-// A parsed v2 frame. `payload` aliases the buffer handed to parse_frame_v2.
-// trace_id / parent_span_id are 0 for untraced (0xB2) frames.
+// A parsed frame. `payload` aliases the buffer handed to parse_frame_v2.
+// trace_id / parent_span_id are 0 for an untraced frame.
 struct FrameV2 {
   std::uint64_t request_id = 0;
   std::uint64_t trace_id = 0;
@@ -175,19 +160,15 @@ struct FrameV2 {
   std::span<const std::uint8_t> payload;
 };
 
-// Wraps a payload in the v2 envelope. With trace_id == 0 and
-// parent_span_id == 0 this emits the byte-identical untraced 0xB2 frame
-// (CRC32 over request_id bytes ++ payload); otherwise the 0xB3 traced frame
-// (CRC32 over request_id ++ trace_id ++ parent_span_id ++ payload).
+// Wraps a payload in the envelope (CRC32 over request_id ++ trace_id ++
+// parent_span_id ++ payload).
 [[nodiscard]] std::vector<std::uint8_t> frame_v2(
     std::uint64_t request_id, std::span<const std::uint8_t> payload,
     std::uint64_t trace_id = 0, std::uint64_t parent_span_id = 0);
 
-// Verifies and unwraps a v2 frame body. DATA_LOSS on a truncated envelope or
-// a CRC mismatch (corruption detected at the transport — the payload is
-// never parsed); UNIMPLEMENTED when the body is a legacy v1 frame (first
-// byte is a known v1 message type), so the caller can refuse it cleanly in
-// v1 framing; DATA_LOSS on any other first byte.
+// Verifies and unwraps a frame body. DATA_LOSS on a first byte other than
+// 0xB3, a truncated envelope or a CRC mismatch (corruption detected at the
+// transport — the payload is never parsed).
 [[nodiscard]] Status parse_frame_v2(std::span<const std::uint8_t> body,
                                     FrameV2& out);
 

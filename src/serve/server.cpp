@@ -202,24 +202,14 @@ void QueryServer::serve_connection(Socket conn) {
     FrameV2 env;
     if (Status st = parse_frame_v2(std::span<const std::uint8_t>(*frame), env);
         !st.ok()) {
+      // Unknown marker, truncated envelope or CRC mismatch: the length
+      // prefix was intact, so the stream stays in sync — answer (request id
+      // 0: the envelope's id is exactly what the CRC failed to vouch for)
+      // and keep the connection.
       metrics_.add(obs::Counter::kServeRequests);
       metrics_.add(obs::Counter::kServeErrors);
-      note(/*error=*/true, /*shed=*/false, 0);
-      if (st.code() == StatusCode::kUnimplemented) {
-        // v1 frame from a legacy client: answer in v1 framing — the only
-        // framing it can decode — and keep the connection.
-        metrics_.add(obs::Counter::kServeLegacyClients);
-        if (!write_frame(conn,
-                         encode_response(error_response(MsgType::kPing, st)))
-                 .ok())
-          break;
-        last_frame_us = now_us();
-        continue;
-      }
-      // CRC mismatch or unknown marker: the length prefix was intact, so the
-      // stream stays in sync — answer (request id 0: the envelope's id is
-      // exactly what the CRC failed to vouch for) and keep the connection.
       metrics_.add(obs::Counter::kServeCorruptFrames);
+      note(/*error=*/true, /*shed=*/false, 0);
       if (!write_frame(conn, frame_v2(0, encode_response(error_response(
                                              MsgType::kPing, st))))
                .ok())

@@ -2,8 +2,9 @@
 // server.*): retries under injected wire faults always land the exact
 // answer, replica failover loses nothing when a server dies mid-batch,
 // deterministic sheds (connection budget, memory budget) come back
-// RESOURCE_EXHAUSTED, idle connections are reclaimed, and a legacy v1
-// client is answered UNIMPLEMENTED in framing it can decode.
+// RESOURCE_EXHAUSTED, idle connections are reclaimed, and a body that is
+// not the one envelope is answered DATA_LOSS on a connection that stays
+// usable.
 
 #include "serve/retry.hpp"
 
@@ -219,7 +220,7 @@ TEST(QueryServerOverloadTest, IdleConnectionsAreDisconnectedAndCounted) {
   server.stop();
 }
 
-TEST(ProtocolUpgradeTest, LegacyV1ClientIsAnsweredUnimplementedInV1Framing) {
+TEST(EnvelopeTest, OtherFirstBytesGetDataLossOnAUsableConnection) {
   auto model = fitted_model(300, 3);
   serve::QueryServer server(model, {});
   ASSERT_TRUE(server.start().ok());
@@ -227,35 +228,42 @@ TEST(ProtocolUpgradeTest, LegacyV1ClientIsAnsweredUnimplementedInV1Framing) {
   auto sock = serve::connect_loopback(server.port(), 2.0);
   ASSERT_TRUE(sock.ok());
 
-  // A bare v1 request body (no v2 envelope) — what a pre-v2 Client sends.
   serve::Request ping;
   ping.type = serve::MsgType::kPing;
-  ASSERT_TRUE(serve::write_frame(*sock, serve::encode_request(ping)).ok());
+  const std::vector<std::uint8_t> payload = serve::encode_request(ping);
+  // Bare message-type bytes and the retired untraced marker 0xB2, each in
+  // front of an otherwise well-formed envelope.
+  const std::uint8_t firsts[] = {1, 2, 3, 4, 5, 6, 7, 0xB2};
+  for (const std::uint8_t first : firsts) {
+    std::vector<std::uint8_t> body = serve::frame_v2(9, payload);
+    body[0] = first;
+    ASSERT_TRUE(serve::write_frame(*sock, body).ok()) << int(first);
+    auto frame = serve::read_frame(*sock);
+    ASSERT_TRUE(frame.ok()) << int(first);
+    serve::FrameV2 env;
+    ASSERT_TRUE(
+        serve::parse_frame_v2(std::span<const std::uint8_t>(*frame), env).ok())
+        << int(first);
+    EXPECT_EQ(env.request_id, 0u) << int(first);
+    serve::Response resp;
+    ASSERT_TRUE(serve::decode_response(env.payload, resp).ok()) << int(first);
+    EXPECT_EQ(resp.code, StatusCode::kDataLoss) << int(first);
+  }
+  EXPECT_EQ(
+      server.metrics().snapshot().counter(obs::Counter::kServeCorruptFrames),
+      std::size(firsts));
+
+  // Same connection, well-formed envelope: the server serves it normally.
+  ASSERT_TRUE(serve::write_frame(*sock, serve::frame_v2(1, payload)).ok());
   auto frame = serve::read_frame(*sock);
   ASSERT_TRUE(frame.ok());
-  // The answer must be decodable WITHOUT the v2 envelope.
-  serve::Response resp;
-  ASSERT_TRUE(
-      serve::decode_response(std::span<const std::uint8_t>(*frame), resp)
-          .ok());
-  EXPECT_EQ(resp.code, StatusCode::kUnimplemented);
-  EXPECT_EQ(
-      server.metrics().snapshot().counter(obs::Counter::kServeLegacyClients),
-      1u);
-
-  // Same connection, upgraded framing: the server serves it normally.
-  ASSERT_TRUE(
-      serve::write_frame(*sock, serve::frame_v2(1, serve::encode_request(ping)))
-          .ok());
-  auto frame2 = serve::read_frame(*sock);
-  ASSERT_TRUE(frame2.ok());
   serve::FrameV2 env;
   ASSERT_TRUE(
-      serve::parse_frame_v2(std::span<const std::uint8_t>(*frame2), env).ok());
+      serve::parse_frame_v2(std::span<const std::uint8_t>(*frame), env).ok());
   EXPECT_EQ(env.request_id, 1u);
-  serve::Response resp2;
-  ASSERT_TRUE(serve::decode_response(env.payload, resp2).ok());
-  EXPECT_EQ(resp2.code, StatusCode::kOk);
+  serve::Response resp;
+  ASSERT_TRUE(serve::decode_response(env.payload, resp).ok());
+  EXPECT_EQ(resp.code, StatusCode::kOk);
   server.stop();
 }
 

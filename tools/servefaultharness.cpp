@@ -5,7 +5,7 @@
 // the RetryingClient. Scenarios:
 //
 //   * baseline          — fault-free; every answer must match offline exactly
-//   * corrupt           — bit-flips on the wire; the v2 CRC must catch every
+//   * corrupt           — bit-flips on the wire; the frame CRC must catch every
 //                         one before a wrong answer can surface
 //   * drop              — connections severed mid-exchange; reconnect+retry
 //   * truncate          — short writes the sender believes succeeded
