@@ -4,8 +4,8 @@
 #include <limits>
 #include <span>
 
+#include "common/crc32.hpp"
 #include "common/vfs.hpp"
-#include "serve/crc32.hpp"
 #include "serve/wire.hpp"
 
 namespace udb {
@@ -63,7 +63,7 @@ Status CheckpointStore::save_to(const std::string& path) const {
   out.u32(kCkptVersion);
   out.u64(payload.size());
   out.raw(payload.data().data(), payload.size());
-  out.u32(serve::crc32(payload.data().data(), payload.size()));
+  out.u32(crc32(payload.data().data(), payload.size()));
   return vfs::write_file_atomic(path, out.data().data(), out.size());
 }
 
@@ -93,7 +93,7 @@ StatusOr<CheckpointStore> CheckpointStore::load_from(const std::string& path) {
   const std::uint8_t* payload = bytes->data() + kCkptHeaderBytes;
   std::uint32_t stored_crc = 0;
   std::memcpy(&stored_crc, payload + payload_bytes, sizeof stored_crc);
-  if (serve::crc32(payload, static_cast<std::size_t>(payload_bytes)) !=
+  if (crc32(payload, static_cast<std::size_t>(payload_bytes)) !=
       stored_crc)
     return DataLossError("checkpoint spill " + path +
                          " fails its checksum — corrupted");

@@ -31,7 +31,7 @@ namespace udb::serve {
 
 // Format constants (layout table in docs/SERVING.md).
 inline constexpr char kSnapshotMagic[4] = {'U', 'D', 'B', 'M'};
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 struct ModelSnapshot {
   Dataset data;

@@ -81,16 +81,4 @@ class ByteReader {
   std::size_t off_ = 0;
 };
 
-// FNV-1a 64-bit — the snapshot payload checksum. Not cryptographic; it exists
-// to catch truncation, bit rot, and foreign files, not adversaries.
-[[nodiscard]] inline std::uint64_t fnv1a64(const std::uint8_t* p,
-                                           std::size_t n) noexcept {
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace udb::serve

@@ -16,9 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "core/mudbscan.hpp"
 #include "data/generators.hpp"
-#include "serve/wire.hpp"
 
 namespace udb {
 namespace {
@@ -54,11 +54,10 @@ class SnapshotTest : public ::testing::Test {
   // Rewrites the footer checksum so content mutations exercise the semantic
   // validators rather than tripping the checksum first.
   void fix_checksum(std::vector<std::uint8_t>& bytes) {
-    ASSERT_GE(bytes.size(), 24u);
-    const std::size_t payload_end = bytes.size() - 8;
-    const std::uint64_t sum =
-        serve::fnv1a64(bytes.data() + 16, payload_end - 16);
-    std::memcpy(bytes.data() + payload_end, &sum, 8);
+    ASSERT_GE(bytes.size(), 20u);
+    const std::size_t payload_end = bytes.size() - 4;
+    const std::uint32_t sum = crc32(bytes.data() + 16, payload_end - 16);
+    std::memcpy(bytes.data() + payload_end, &sum, 4);
   }
 };
 
@@ -80,21 +79,20 @@ TEST_F(SnapshotTest, RoundtripIsIdentical) {
   EXPECT_EQ(loaded->report_json, snap.report_json);
 }
 
-// Flag bit 1 once chose how AuxR-trees were built. Format v1 keeps it:
-// always written set, ignored on read, so files written with it clear load
-// to the same snapshot.
-TEST_F(SnapshotTest, LegacyAuxBuildFlagIsWrittenSetAndIgnoredOnRead) {
+// Flag bit 1 once chose how AuxR-trees were built. It is no longer written,
+// and a file with it set loads to the same snapshot.
+TEST_F(SnapshotTest, RetiredAuxBuildFlagIsNotWrittenAndIgnoredOnRead) {
   constexpr std::size_t kFlagsAt = 16 + 8 + 8 + 8 + 4;  // header, dim, n, eps, min_pts
   const auto snap = make_snapshot();
-  const std::string p = path("legacy_flag.udbm");
+  const std::string p = path("retired_flag.udbm");
   ASSERT_TRUE(serve::save_model(snap, p).ok());
   auto bytes = read_file(p);
   ASSERT_GT(bytes.size(), kFlagsAt + 4);
   std::uint32_t flags = 0;
   std::memcpy(&flags, bytes.data() + kFlagsAt, 4);
-  EXPECT_EQ(flags, 3u);  // two_eps_rule | legacy bit 1
+  EXPECT_EQ(flags, 1u);  // two_eps_rule only
 
-  flags &= ~2u;
+  flags |= 2u;
   std::memcpy(bytes.data() + kFlagsAt, &flags, 4);
   fix_checksum(bytes);
   write_file(p, bytes);
@@ -128,8 +126,8 @@ TEST_F(SnapshotTest, EveryTruncationIsRejectedCleanly) {
   // Cut inside the header, the fixed payload prefix, the coordinate block,
   // the trailing arrays, and the checksum footer.
   const std::size_t cuts[] = {0,  3,  15, 16,
-                              40, full.size() / 2, full.size() - 9,
-                              full.size() - 8, full.size() - 1};
+                              40, full.size() / 2, full.size() - 5,
+                              full.size() - 4, full.size() - 1};
   const std::string tp = path("trunc.udbm");
   for (std::size_t cut : cuts) {
     write_file(tp, {full.begin(), full.begin() + static_cast<long>(cut)});
@@ -154,11 +152,11 @@ TEST_F(SnapshotTest, BitFlipInPayloadIsRejected) {
   const std::string p = path("flip.udbm");
   ASSERT_TRUE(serve::save_model(make_snapshot(), p).ok());
   const auto clean = read_file(p);
-  // Flip one bit at several positions across the payload; the checksum must
-  // catch every one of them.
+  // Flip one bit at several positions across the payload and in the CRC
+  // footer; the checksum must catch every one of them.
   for (std::size_t pos : {std::size_t{16}, std::size_t{24},
                           clean.size() / 3, clean.size() / 2,
-                          clean.size() - 9}) {
+                          clean.size() - 5, clean.size() - 1}) {
     auto bytes = clean;
     bytes[pos] ^= 0x10;
     write_file(p, bytes);
@@ -181,16 +179,20 @@ TEST_F(SnapshotTest, WrongMagicIsRejected) {
 }
 
 TEST_F(SnapshotTest, UnsupportedVersionIsRejected) {
+  // Version 1 (the FNV-1a trailer) is retired like any future version.
   const std::string p = path("version.udbm");
   ASSERT_TRUE(serve::save_model(make_snapshot(), p).ok());
-  auto bytes = read_file(p);
-  const std::uint32_t future = serve::kSnapshotVersion + 1;
-  std::memcpy(bytes.data() + 4, &future, 4);
-  write_file(p, bytes);
-  auto r = serve::load_model(p);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(r.status().message().find("version"), std::string::npos);
+  const auto good = read_file(p);
+  for (const std::uint32_t version : {1u, serve::kSnapshotVersion + 1}) {
+    auto bytes = good;
+    std::memcpy(bytes.data() + 4, &version, 4);
+    write_file(p, bytes);
+    auto r = serve::load_model(p);
+    ASSERT_FALSE(r.ok()) << version;
+    EXPECT_EQ(r.status().code(), StatusCode::kDataLoss) << version;
+    EXPECT_NE(r.status().message().find("version"), std::string::npos)
+        << version;
+  }
 }
 
 TEST_F(SnapshotTest, OutOfRangeLabelIsRejectedEvenWithValidChecksum) {
