@@ -1,6 +1,7 @@
 #include "core/incremental.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -221,6 +222,10 @@ void IncrementalMuDbscan::promote_core(
 PointId IncrementalMuDbscan::insert(std::span<const double> pt) {
   if (pt.size() != dim_)
     throw std::invalid_argument("IncrementalMuDbscan::insert: wrong dimension");
+  for (const double v : pt)
+    if (!std::isfinite(v))
+      throw std::invalid_argument(
+          "IncrementalMuDbscan::insert: non-finite coordinate");
 
   if (total_ % kChunkPoints == 0)
     chunks_.push_back(std::make_unique<double[]>(kChunkPoints * dim_));

@@ -86,6 +86,8 @@ class IncrementalMuDbscan {
 
   // Ingest one point. Returned ids are dense, stable, and never reused;
   // after erasures they are *not* positions in result()/survivors() order.
+  // Throws std::invalid_argument on a wrong dimension or a non-finite
+  // coordinate (either would corrupt the maintained counts).
   PointId insert(std::span<const double> pt);
 
   // Remove a point by id. Returns false if the id was never allocated or is
