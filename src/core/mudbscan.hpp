@@ -28,7 +28,7 @@ struct MuDbscanConfig {
   bool mbr_filtration = true;      // reachable-MC MBR filter in FIND-NBHD
 
   // Real shared-memory parallelism (paper Section VII). >1 runs the
-  // AuxR-tree tiling, inner-circle/reachable computation, Algorithms 4/6 and
+  // AuxR-tree blocks, inner-circle/reachable computation, Algorithms 4/6 and
   // both post-processing passes on a thread pool of this size, with a
   // lock-free union-find. 1 runs the same loops inline, without a pool. The
   // clustering stays exactly equal to sequential DBSCAN at every thread

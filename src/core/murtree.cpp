@@ -7,7 +7,6 @@
 #include <string>
 
 #include "common/distance.hpp"
-#include "index/str.hpp"
 #include "obs/trace.hpp"
 
 namespace udb {
@@ -95,8 +94,7 @@ MuRTree::MuRTree(const Dataset& ds, double eps, Config cfg, ThreadPool* pool)
     const std::size_t bytes =
         vector_bytes(point_mc_) + centers_.memory_bytes() + vector_bytes(mcs_) +
         vector_bytes(slot_ids_) + vector_bytes(slot_off_) +
-        vector_bytes(mc_leaf_off_) + vector_bytes(leaf_off_) +
-        vector_bytes(coords_) + vector_bytes(mc_box_) + vector_bytes(leaf_box_);
+        vector_bytes(coords_) + vector_bytes(mc_box_);
     mem_charge_.acquire_throw(guard, bytes, "murtree index");
   }
 }
@@ -105,11 +103,10 @@ void MuRTree::build_member_store(const std::vector<PointId>& deferred,
                                  ThreadPool* pool) {
   const Dataset& ds = *ds_;
   const std::size_t n = ds.size(), dim = ds.dim(), num_mcs = mcs_.size();
-  const std::size_t cap = kAuxLeafCap;
 
-  // Counting sort by MC, in sweep order (pass-1 joiners by id, then the
-  // deferred points), so a one-leaf MC lists its members in the order they
-  // joined. `deferred` is ascending, so a merge walk skips it in pass 1.
+  // Counting sort by MC, in join order (pass-1 joiners by id, then the
+  // deferred points). `deferred` is ascending, so a merge walk skips it in
+  // pass 1.
   slot_off_.assign(num_mcs + 1, 0);
   for (McId z : point_mc_) ++slot_off_[z + 1];
   for (std::size_t z = 0; z < num_mcs; ++z) slot_off_[z + 1] += slot_off_[z];
@@ -126,62 +123,31 @@ void MuRTree::build_member_store(const std::vector<PointId>& deferred,
     }
     for (PointId p : deferred) place(p);
   }
-
-  // Leaves: ceil(size / cap) per MC, cut from the MC's tiled slot run.
-  mc_leaf_off_.assign(num_mcs + 1, 0);
-  for (std::size_t z = 0; z < num_mcs; ++z)
-    mc_leaf_off_[z + 1] = mc_leaf_off_[z] + static_cast<std::uint32_t>(
-        (slot_off_[z + 1] - slot_off_[z] + cap - 1) / cap);
-  const std::size_t num_leaves = mc_leaf_off_[num_mcs];
-  leaf_off_.resize(num_leaves + 1);
-  leaf_off_[num_leaves] = static_cast<std::uint32_t>(n);
   coords_.resize(n * dim);
   mc_box_.resize(num_mcs * 2 * dim);
-  leaf_box_.resize(num_leaves * 2 * dim);
 
-  // Each MC's tiling writes only its own slots, leaves and boxes, so the
-  // MCs run in parallel and the store is identical at every thread count.
-  // With a guard, every 32-MC chunk is a cooperative checkpoint.
-  const auto coord = [&ds](PointId p, std::size_t axis) {
-    return ds.ptr(p)[axis];
-  };
+  // Each MC writes only its own block and box, so the MCs run in parallel
+  // and the store is identical at every thread count. With a guard, every
+  // 32-MC chunk is a cooperative checkpoint.
   parallel_for_chunked(
       pool, num_mcs, 32,
       [&](std::size_t begin, std::size_t end, unsigned) {
         for (std::size_t z = begin; z < end; ++z) {
-          MicroCluster& mc = mcs_[z];
-          const std::uint32_t s0 = slot_off_[z], s1 = slot_off_[z + 1];
-          PointId* ids = slot_ids_.data();
-          str_tile(ids + s0, ids + s1, 0, dim, cap, coord);
-          mc.members = std::span<const PointId>(ids + s0, s1 - s0);
-          double* mc_lo = &mc_box_[z * 2 * dim];
-          double* mc_hi = mc_lo + dim;
-          std::fill(mc_lo, mc_hi, std::numeric_limits<double>::infinity());
-          std::fill(mc_hi, mc_hi + dim,
-                    -std::numeric_limits<double>::infinity());
-          std::uint32_t s = s0;
-          for (std::uint32_t l = mc_leaf_off_[z]; l < mc_leaf_off_[z + 1];
-               ++l) {
-            const std::uint32_t cnt =
-                std::min<std::uint32_t>(static_cast<std::uint32_t>(cap),
-                                        s1 - s);
-            leaf_off_[l] = s;
-            double* block = &coords_[std::size_t{s} * dim];
-            double* lo = &leaf_box_[std::size_t{l} * 2 * dim];
-            double* hi = lo + dim;
-            for (std::size_t k = 0; k < dim; ++k) {
-              lo[k] = std::numeric_limits<double>::infinity();
-              hi[k] = -std::numeric_limits<double>::infinity();
-              for (std::uint32_t i = 0; i < cnt; ++i) {
-                const double v = ds.ptr(ids[s + i])[k];
-                block[k * cnt + i] = v;
-                lo[k] = std::min(lo[k], v);
-                hi[k] = std::max(hi[k], v);
-              }
-              mc_lo[k] = std::min(mc_lo[k], lo[k]);
-              mc_hi[k] = std::max(mc_hi[k], hi[k]);
+          const std::uint32_t s0 = slot_off_[z], cnt = slot_off_[z + 1] - s0;
+          const PointId* ids = slot_ids_.data() + s0;
+          mcs_[z].members = std::span<const PointId>(ids, cnt);
+          double* block = &coords_[std::size_t{s0} * dim];
+          double* lo = &mc_box_[z * 2 * dim];
+          double* hi = lo + dim;
+          for (std::size_t k = 0; k < dim; ++k) {
+            lo[k] = std::numeric_limits<double>::infinity();
+            hi[k] = -std::numeric_limits<double>::infinity();
+            for (std::uint32_t i = 0; i < cnt; ++i) {
+              const double v = ds.ptr(ids[i])[k];
+              block[k * cnt + i] = v;
+              lo[k] = std::min(lo[k], v);
+              hi[k] = std::max(hi[k], v);
             }
-            s += cnt;
           }
         }
       },
@@ -292,15 +258,12 @@ void MuRTree::gather_candidates(McId z, double radius, bool mbr_filter,
   b.hits.resize(total);
   std::size_t at = 0;
   for (McId r : b.mcs) {
-    for (std::uint32_t l = mc_leaf_off_[r]; l < mc_leaf_off_[r + 1]; ++l) {
-      const std::size_t begin = leaf_off_[l];
-      const std::size_t cnt = leaf_off_[l + 1] - begin;
-      std::copy_n(&slot_ids_[begin], cnt, &b.ids[at]);
-      const double* src = &coords_[begin * dim];
-      for (std::size_t k = 0; k < dim; ++k)
-        std::copy_n(src + k * cnt, cnt, &b.coords[k * total + at]);
-      at += cnt;
-    }
+    const std::size_t s0 = slot_off_[r], cnt = slot_off_[r + 1] - s0;
+    std::copy_n(&slot_ids_[s0], cnt, &b.ids[at]);
+    const double* src = &coords_[s0 * dim];
+    for (std::size_t k = 0; k < dim; ++k)
+      std::copy_n(src + k * cnt, cnt, &b.coords[k * total + at]);
+    at += cnt;
   }
 }
 
@@ -340,10 +303,8 @@ void MuRTree::check_invariants() const {
     throw std::logic_error(std::string("MuRTree: ") + what);
   };
   if (slot_ids_.size() != n || slot_off_.size() != mcs_.size() + 1 ||
-      mc_leaf_off_.size() != mcs_.size() + 1 || slot_off_.back() != n ||
-      leaf_off_.size() != mc_leaf_off_.back() + 1 || leaf_off_.back() != n ||
-      coords_.size() != n * dim || mc_box_.size() != mcs_.size() * 2 * dim ||
-      leaf_box_.size() != mc_leaf_off_.back() * 2 * dim)
+      slot_off_.back() != n || coords_.size() != n * dim ||
+      mc_box_.size() != mcs_.size() * 2 * dim)
     fail("member store arrays out of shape");
   std::vector<std::uint8_t> seen(n, 0);
   for (McId z = 0; z < mcs_.size(); ++z) {
@@ -368,33 +329,23 @@ void MuRTree::check_invariants() const {
     }
     if (!center_listed) fail("centre not among members");
 
-    // Leaves: consecutive, full but for the last, covering the slot run.
-    const std::uint32_t l0 = mc_leaf_off_[z], l1 = mc_leaf_off_[z + 1];
-    const std::size_t cap = kAuxLeafCap;
-    if (l1 - l0 != (s1 - s0 + cap - 1) / cap) fail("wrong MC leaf count");
+    // The block holds the members' coordinates dim-major, and the root MBR
+    // is their exact bounding box.
     Box root(dim);
-    for (std::uint32_t l = l0; l < l1; ++l) {
-      const std::uint32_t b = leaf_off_[l], e = leaf_off_[l + 1];
-      if (b != s0 + (l - l0) * cap || e <= b || e - b > cap)
-        fail("leaf slots do not tile the MC's run");
-      const double* lo = &leaf_box_[std::size_t{l} * 2 * dim];
-      const double* hi = lo + dim;
-      for (std::uint32_t i = b; i < e; ++i) {
-        const double* pt = ds_->ptr(slot_ids_[i]);
-        for (std::size_t k = 0; k < dim; ++k) {
-          const double v = coords_[std::size_t{b} * dim + k * (e - b) + (i - b)];
-          if (std::memcmp(&v, &pt[k], sizeof v) != 0)
-            fail("leaf coordinates differ from the dataset");
-          if (v < lo[k] || v > hi[k]) fail("leaf MBR does not contain point");
-        }
+    const std::uint32_t cnt = s1 - s0;
+    for (std::uint32_t i = 0; i < cnt; ++i) {
+      const double* pt = ds_->ptr(slot_ids_[s0 + i]);
+      for (std::size_t k = 0; k < dim; ++k) {
+        const double v = coords_[std::size_t{s0} * dim + k * cnt + i];
+        if (std::memcmp(&v, &pt[k], sizeof v) != 0)
+          fail("block coordinates differ from the dataset");
       }
-      root.expand(std::span<const double>(lo, dim));
-      root.expand(std::span<const double>(hi, dim));
+      root.expand(std::span<const double>(pt, dim));
     }
     const double* mlo = &mc_box_[std::size_t{z} * 2 * dim];
     for (std::size_t k = 0; k < dim; ++k)
       if (mlo[k] != root.lo(k) || mlo[dim + k] != root.hi(k))
-        fail("root MBR is not the union of its leaf MBRs");
+        fail("root MBR is not the bounding box of its members");
   }
   for (std::size_t i = 0; i < n; ++i)
     if (!seen[i]) fail("unassigned point");

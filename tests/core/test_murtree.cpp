@@ -304,8 +304,8 @@ void expect_same_hits(Hits got, const Hits& want) {
 
 // Integer lattice of step eps / 2 on the first three axes (so many pairs sit
 // exactly eps apart), rarely off zero on the others, plus exact duplicates
-// and -0.0 twins of +0.0 coordinates: most MCs hold more than 16 members, so
-// their AuxR-trees have several leaves, at every dimension.
+// and -0.0 twins of +0.0 coordinates: many MCs hold dozens of members, so
+// some span several kernel chunks, at every dimension.
 Dataset adversarial_lattice(std::size_t dim, std::size_t n, double eps,
                             std::uint64_t seed) {
   Rng rng(seed);
@@ -340,8 +340,8 @@ TEST(MuRTreeFlatStore, QueriesMatchLinearScanAtEveryDimAndTarget) {
       std::size_t max_members = 0;
       for (McId z = 0; z < tree.num_mcs(); ++z)
         max_members = std::max(max_members, tree.mc(z).members.size());
-      ASSERT_GT(max_members, 2 * MuRTree::kAuxLeafCap)
-          << "no MC with three leaves at d=" << dim;
+      ASSERT_GT(max_members, MuRTree::kScanChunk)
+          << "no MC larger than one kernel chunk at d=" << dim;
 
       for (SimdTarget t : runnable_simd_targets()) {
         force_simd_target(t);
@@ -492,12 +492,15 @@ TEST(MuRTreeFlatStore, McOverlapTestNeverRejectsAMemberInRange) {
   }
 }
 
-// The kernel counters are counted per leaf from the active target's lanes:
-// one MC of 37 points in leaves of 16, 16 and 5, all inside the query ball.
-TEST(MuRTreeFlatStore, KernelBlockAndTailCountsArePerLeaf) {
+// The kernel counters are counted per scan chunk from the active target's
+// lanes: one MC of 2 * kScanChunk + 5 points, all inside the query ball, is
+// one root MBR test and three kernel blocks.
+TEST(MuRTreeFlatStore, KernelBlockAndTailCountsArePerChunk) {
   TargetGuard guard;
+  const std::size_t chunk = MuRTree::kScanChunk, size = 2 * chunk + 5;
   std::vector<double> coords;
-  for (int i = 0; i < 37; ++i) coords.push_back(0.01 * i);
+  for (std::size_t i = 0; i < size; ++i)
+    coords.push_back(0.9 * static_cast<double>(i) / static_cast<double>(size));
   Dataset ds(1, std::move(coords));
   MuRTree tree(ds, 1.0);
   tree.compute_reachable();
@@ -510,14 +513,14 @@ TEST(MuRTreeFlatStore, KernelBlockAndTailCountsArePerLeaf) {
     const std::uint64_t searched = tree.aux_trees_searched();
     Hits out;
     tree.query_neighborhood(0, 1.0, out);
-    EXPECT_EQ(out.size(), 37u);
+    EXPECT_EQ(out.size(), size);
     const MuRTree::IndexCounters after = tree.index_counters();
     EXPECT_EQ(tree.aux_trees_searched() - searched, 1u);
-    EXPECT_EQ(after.node_visits - before.node_visits, 1u + 3u);
-    EXPECT_EQ(after.distance_evals - before.distance_evals, 37u);
+    EXPECT_EQ(after.node_visits - before.node_visits, 1u);
+    EXPECT_EQ(after.distance_evals - before.distance_evals, size);
     EXPECT_EQ(after.kernel_blocks - before.kernel_blocks, 3u);
     EXPECT_EQ(after.kernel_tail_points - before.kernel_tail_points,
-              2 * (16 % lanes) + 5 % lanes);
+              2 * (chunk % lanes) + 5 % lanes);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -87,40 +88,91 @@ TEST(CenterCells, ProbesMatchLinearScanOfCenters) {
   }
 }
 
+// Every window of a frozen index, for m = 1 and 2, walked whole and in
+// chunks that start mid-row and mid-run (as the parallel reach build does),
+// must list exactly the cells within m on every gridded axis, in key order.
+void expect_windows_match_brute_force(const CenterCells& cells,
+                                      std::size_t dim, double eps) {
+  const std::size_t nc = cells.num_cells();
+  std::vector<std::vector<std::int64_t>> keys;
+  for (std::uint32_t c = 0; c < nc; ++c)
+    keys.push_back(key_of(cells.coords(c), dim, eps));
+  for (std::int64_t m : {1, 2}) {
+    std::vector<std::vector<std::uint32_t>> want(nc);
+    for (std::uint32_t c = 0; c < nc; ++c)
+      for (std::uint32_t o = 0; o < nc; ++o) {
+        bool in = true;
+        for (std::size_t a = 0; a < keys[c].size(); ++a)
+          in = in && keys[o][a] >= keys[c][a] - m &&
+               keys[o][a] <= keys[c][a] + m;
+        if (in) want[c].push_back(o);
+      }
+    for (std::size_t chunk : {nc, std::size_t{1}, std::size_t{2},
+                              std::size_t{3}, std::size_t{7}}) {
+      SCOPED_TRACE("d=" + std::to_string(dim) + " m=" + std::to_string(m) +
+                   " chunk=" + std::to_string(chunk));
+      std::vector<std::vector<std::uint32_t>> got(nc);
+      for (std::size_t b = 0; b < nc; b += std::max<std::size_t>(chunk, 1))
+        cells.for_each_window(b, std::min(nc, b + chunk), m,
+                              [&](std::uint32_t c, auto win) {
+                                got[c].assign(win.begin(), win.end());
+                              });
+      for (std::uint32_t c = 0; c < nc; ++c)
+        ASSERT_EQ(got[c], want[c]) << "cell " << c;
+    }
+  }
+}
+
 TEST(CenterCells, WindowsHoldEveryCellWithinM) {
   const double eps = 1.0;
   for (std::size_t dim : {1u, 2u, 3u, 5u}) {
     const Dataset ds = lattice(dim, 500, 12, 1.5, true, 20 + dim);
     CenterCells cells(dim, eps);
     sweep(ds, eps, cells);
-    const std::size_t nc = cells.num_cells();
-    std::vector<std::vector<std::int64_t>> keys;
-    for (std::uint32_t c = 0; c < nc; ++c)
-      keys.push_back(key_of(cells.coords(c), dim, eps));
-    for (std::int64_t m : {1, 2}) {
-      SCOPED_TRACE("d=" + std::to_string(dim) + " m=" + std::to_string(m));
-      std::vector<std::vector<std::uint32_t>> whole(nc), chunked(nc);
-      cells.for_each_window(0, nc, m, [&](std::uint32_t c, auto win) {
-        whole[c].assign(win.begin(), win.end());
-      });
-      // Chunks of 7 cells start mid-row, as the parallel reach build does.
-      for (std::size_t b = 0; b < nc; b += 7)
-        cells.for_each_window(b, std::min(nc, b + 7), m,
-                              [&](std::uint32_t c, auto win) {
-                                chunked[c].assign(win.begin(), win.end());
-                              });
-      for (std::uint32_t c = 0; c < nc; ++c) {
-        std::vector<std::uint32_t> want;
-        for (std::uint32_t o = 0; o < nc; ++o) {
-          bool in = true;
-          for (std::size_t a = 0; a < keys[c].size(); ++a)
-            in = in && keys[o][a] >= keys[c][a] - m &&
-                 keys[o][a] <= keys[c][a] + m;
-          if (in) want.push_back(o);
-        }
-        ASSERT_EQ(whole[c], want) << "cell " << c;
-        ASSERT_EQ(chunked[c], want) << "cell " << c;
-      }
+    expect_windows_match_brute_force(cells, dim, eps);
+  }
+}
+
+// One centre in the middle of each listed cell (side 2 * eps = 2) on the
+// first three axes, zero on the others.
+Dataset cell_centres(std::size_t dim,
+                     const std::vector<std::array<std::int64_t, 3>>& keys) {
+  std::vector<double> coords;
+  for (const auto& key : keys)
+    for (std::size_t k = 0; k < dim; ++k)
+      coords.push_back(k < 3 ? 2.0 * static_cast<double>(key[k]) + 1.0 : 0.0);
+  return Dataset(dim, std::move(coords));
+}
+
+// Sparse layouts, where most rows hold one cell and the rows near a row
+// have gaps: a diagonal (one cell per row, every run of neighbour rows
+// holds at most one), a staircase whose rows skip a value inside every
+// +-m run, and a 3% random fill.
+TEST(CenterCells, WindowsMatchBruteForceOnSparseRows) {
+  const double eps = 1.0;
+  std::vector<std::pair<std::string, std::vector<std::array<std::int64_t, 3>>>>
+      layouts;
+  std::vector<std::array<std::int64_t, 3>> diagonal, stairs, fill;
+  for (std::int64_t i = -12; i < 12; ++i) diagonal.push_back({i, i, i});
+  for (std::int64_t a = 0; a < 6; ++a)
+    for (std::int64_t b : {-4, -3, -1, 0, 2, 5, 6, 9})
+      stairs.push_back({a, b, (a * 3 + b) % 5});
+  Rng rng(77);
+  for (std::int64_t a = -6; a < 6; ++a)
+    for (std::int64_t b = -6; b < 6; ++b)
+      for (std::int64_t c = -6; c < 6; ++c)
+        if (rng.uniform_index(100) < 3) fill.push_back({a, b, c});
+  layouts.emplace_back("diagonal", diagonal);
+  layouts.emplace_back("stairs", stairs);
+  layouts.emplace_back("fill", fill);
+  for (const auto& [name, keys] : layouts) {
+    for (std::size_t dim : {1u, 2u, 3u, 14u}) {
+      SCOPED_TRACE(name);
+      const Dataset ds = cell_centres(dim, keys);
+      CenterCells cells(dim, eps);
+      sweep(ds, eps, cells);
+      ASSERT_NO_THROW(cells.check_invariants());
+      expect_windows_match_brute_force(cells, dim, eps);
     }
   }
 }
