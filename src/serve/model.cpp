@@ -192,7 +192,11 @@ StatusOr<PointInfo> ClusterModel::point_info(
 
 void ServedModel::refresh(std::shared_ptr<const ClusterModel> m,
                           obs::MetricsRegistry* metrics) {
-  model_.store(std::move(m), std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    model_.swap(m);
+  }
+  // The old model, now in `m`, is released outside the lock.
   if (metrics != nullptr) metrics->add(obs::Counter::kServeModelRefreshes);
 }
 

@@ -22,15 +22,15 @@
 // Every method is const and safe to call from any number of threads
 // concurrently: the µR-tree and the exact-match index are immutable after
 // build, and the only mutation anywhere is relaxed atomic instrumentation.
-// ServedModel adds the refresh story on top: readers load a shared_ptr with
-// one atomic operation and keep the model alive for the whole request even if
-// a refresh swaps in a successor mid-flight.
+// ServedModel adds the refresh story on top: readers copy a shared_ptr under
+// a mutex and keep the model alive for the whole request even if a refresh
+// swaps in a successor mid-flight.
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -147,22 +147,26 @@ class ClusterModel {
   std::unordered_multimap<std::uint64_t, PointId> exact_;
 };
 
-// The refresh seam: readers take a consistent shared_ptr snapshot with one
-// atomic load; refresh() publishes a successor with one atomic exchange.
-// In-flight requests keep the old model alive until their shared_ptr drops.
+// The refresh seam: readers copy the current shared_ptr under a mutex;
+// refresh() swaps in a successor under the same mutex. The lock covers one
+// pointer copy (a reference-count increment), so readers never wait on model
+// work, and a plain mutex is what ThreadSanitizer can check. In-flight
+// requests keep the old model alive until their shared_ptr drops.
 class ServedModel {
  public:
   explicit ServedModel(std::shared_ptr<const ClusterModel> m)
       : model_(std::move(m)) {}
 
   [[nodiscard]] std::shared_ptr<const ClusterModel> get() const {
-    return model_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lk(mu_);
+    return model_;
   }
   void refresh(std::shared_ptr<const ClusterModel> m,
                obs::MetricsRegistry* metrics = nullptr);
 
  private:
-  std::atomic<std::shared_ptr<const ClusterModel>> model_;
+  mutable std::mutex mu_;
+  std::shared_ptr<const ClusterModel> model_;
 };
 
 // Snapshots an incremental engine (its exact result over the alive points)
