@@ -270,7 +270,10 @@ void QueryServer::serve_connection(Socket conn) {
     metrics_.observe(obs::Hist::kServeRequestUs,
                      static_cast<std::uint64_t>(us));
     note(error, shed, static_cast<std::uint64_t>(us));
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
+    // A shed request gives its in-flight slot back at once; an admitted one
+    // holds it until its response is flushed, so the budget also bounds the
+    // responses waiting on slow readers.
+    if (shed) inflight_.fetch_sub(1, std::memory_order_relaxed);
     charge.reset();
 
     obs::Span encode_span(cfg_.tracer, "serve.req.encode", env.trace_id);
@@ -280,6 +283,7 @@ void QueryServer::serve_connection(Socket conn) {
     obs::Span flush_span(cfg_.tracer, "serve.req.flush", env.trace_id);
     const bool wrote = write_frame(conn, out).ok();
     flush_span.end();
+    if (!shed) inflight_.fetch_sub(1, std::memory_order_relaxed);
     if (!wrote) break;
     last_frame_us = now_us();
   }

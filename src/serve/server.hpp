@@ -5,9 +5,10 @@
 // internet: loopback-only bind, hard frame/batch caps, per-request deadline.
 //
 // Concurrency model:
-//   * Readers never lock: a request handler loads the current model with one
-//     atomic shared_ptr load and keeps it alive for the whole request, so
-//     refresh() can swap in a successor at any time without quiescing.
+//   * A request handler copies the current model's shared_ptr (one
+//     reference-count increment under ServedModel's mutex) and keeps it
+//     alive for the whole request, so refresh() can swap in a successor at
+//     any time without quiescing.
 //   * The optional ThreadPool accelerates large classify batches. The pool
 //     runs one job at a time (common/parallel.hpp), so concurrent connections
 //     take pool_mu_ before fanning out; small batches classify inline and
@@ -61,7 +62,8 @@ struct ServerConfig {
   std::size_t max_connections = 0;
   // In-flight request budget across all connections: a request that would
   // exceed it is answered RESOURCE_EXHAUSTED without any model work
-  // (serve_shed_load) — the client's cue to back off. 0 = unlimited.
+  // (serve_shed_load) — the client's cue to back off. An admitted request
+  // holds its slot until its response is flushed. 0 = unlimited.
   std::size_t max_inflight = 0;
   // Per-connection idle timeout: a peer that sends no frame for this long
   // is disconnected (serve_idle_disconnects), so half-open or stalled
