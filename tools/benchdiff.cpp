@@ -27,12 +27,13 @@
 //                     avoided, union calls, provisional noise) must match
 //                     the baseline bit-for-bit. Timings are reported only.
 //   update_throughput every workload's speedup_vs_refit must be
-//                     >= baseline * (1 - tol), tol --speedup-tolerance, and
-//                     every fresh workload must report exact=true (the
-//                     incremental engine's answer matched the canonicalized
-//                     batch refit). Raw updates/s is reported, not gated —
-//                     the refit-relative speedup is the machine-independent
-//                     number.
+//                     >= baseline * (1 - tol), tol --speedup-tolerance; its
+//                     updates_per_sec must be >= the baseline workload's
+//                     absolute updates_per_sec_floor (the ratio alone moves
+//                     with the batch refit it divides by); and every fresh
+//                     workload must report exact=true (the incremental
+//                     engine's answer matched the canonicalized batch
+//                     refit).
 //
 // Exit codes, distinct per failure class so CI can branch without parsing:
 //   0  comparable and within tolerance
@@ -421,11 +422,21 @@ void diff_update(const json::Value& base, const json::Value& fresh,
     if (!pass) gate.note(Outcome::kRegression);
     bool uok = true;
     const double bu = num(bwl, "updates_per_sec", uok);
+    const double floor = num(bwl, "updates_per_sec_floor", uok);
     const double fu = num(*fwl, "updates_per_sec", uok);
-    if (uok)
-      std::printf("update: workload %-12s updates/s %9.0f -> %9.0f "
-                  "(%+6.1f%%, informational)\n",
-                  name.c_str(), bu, fu, pct(bu, fu));
+    if (!uok) {
+      std::printf("update: workload %-12s missing updates_per_sec or its "
+                  "floor — not comparable\n",
+                  name.c_str());
+      gate.note(Outcome::kIncomparable);
+      continue;
+    }
+    const bool above = fu >= floor;
+    std::printf("update: workload %-12s updates/s %9.0f -> %9.0f (%+6.1f%%, "
+                "floor %.0f)  %s\n",
+                name.c_str(), bu, fu, pct(bu, fu), floor,
+                above ? "ok" : "REGRESSION");
+    if (!above) gate.note(Outcome::kRegression);
   }
 }
 
