@@ -156,8 +156,7 @@ void MuDbscanEngine::cluster() {
     std::vector<PointId> noise_pts;
     std::vector<std::uint32_t> noise_off{0};
     std::vector<PointId> noise_nbrs;
-    std::vector<std::pair<PointId, double>> nbhd;  // query scratch
-    MuRTree::CandidateBlock block;                  // Algorithm 6 scratch
+    MuRTree::CandidateBlock block;  // Algorithm 6 scratch
   };
   std::vector<Accum> acc(pool_ ? pool_->num_threads() : 1);
 
@@ -213,20 +212,17 @@ void MuDbscanEngine::cluster() {
 
   // --- Algorithm 6: PROCESS-REM-POINTS ----------------------------------
   // MC by MC: an MC with a member left to query gathers its candidate block
-  // once (MuRTree::gather_candidates), and each of its queries is one kernel
-  // pass over the block. Every byte flag starts 0 and is only ever set to a
-  // nonzero value, so a relaxed load that already sees is_core_ or
-  // assigned_ set stands in for the exchange (which could only return 1).
+  // once (MuRTree::gather_candidates), and each of its queries is one
+  // range-kernel pass over the block whose hits are read straight from it.
+  // Every byte flag starts 0 and is only ever set to a nonzero value, so a
+  // relaxed load that already sees is_core_ or assigned_ set stands in for
+  // the exchange (which could only return 1).
   obs::Span alg6_span(cfg_.tracer, "alg6.process_rem_points");
   parallel_for_chunked(
       pool_.get(), tree_->num_mcs(), kAlg6McChunk,
       [&](std::size_t begin, std::size_t end, unsigned tid) {
         Accum& a = acc[tid];
-        auto& nbhd = a.nbhd;
         MuRTree::CandidateBlock& block = a.block;
-        const auto add_neighbor = [&nbhd](PointId q, double d2) {
-          nbhd.emplace_back(q, d2);
-        };
         Tally t;
         for (std::size_t zi = begin; zi < end; ++zi) {
           const auto z = static_cast<McId>(zi);
@@ -252,31 +248,34 @@ void MuDbscanEngine::cluster() {
             if (++t.queries % kAlg6QueryCheck == 0 && guard_)
               guard_->check_throw("mudbscan algorithm 6");
 
-            nbhd.clear();
-            tree_->query_candidates(block, ds_->ptr(p), eps, add_neighbor);
-            metrics_.observe(obs::Hist::kNeighborCount, nbhd.size());
+            // p's neighbours: ids[hits[h]] at squared distance d2[hits[h]],
+            // h < nh, grouped by reach MC in the block's order.
+            const std::size_t nh =
+                tree_->query_candidates(block, ds_->ptr(p), eps);
+            const std::uint32_t* hits = block.hits.data();
+            const PointId* ids = block.ids.data();
+            const double* d2 = block.d2.data();
+            metrics_.observe(obs::Hist::kNeighborCount, nh);
 
-            if (nbhd.size() < min_pts) {
+            if (nh < min_pts) {
               // Non-core: border if some already-known core is in range,
               // otherwise provisional noise with the neighborhood remembered
               // for Algorithm 8.
               bool attached =
                   flag(assigned_, p).load(std::memory_order_acquire) != 0;
-              if (!attached) {
-                for (const auto& [q, d2] : nbhd) {
-                  if (flag(is_core_, q).load(std::memory_order_seq_cst)) {
-                    // Claim before union: a concurrent core may adopt p via the
-                    // same exchange, and only the exchange winner unions — a
-                    // load/union/store here would let both unions run and
-                    // bridge two clusters through non-core p.
-                    if (!flag(assigned_, p)
-                             .exchange(1, std::memory_order_acq_rel)) {
-                      uf_.union_sets(q, p);
-                      ++t.unions;
-                    }
-                    attached = true;
-                    break;
+              for (std::size_t h = 0; h < nh && !attached; ++h) {
+                const PointId q = ids[hits[h]];
+                if (flag(is_core_, q).load(std::memory_order_seq_cst)) {
+                  // Claim before union: a concurrent core may adopt p via the
+                  // same exchange, and only the exchange winner unions — a
+                  // load/union/store here would let both unions run and
+                  // bridge two clusters through non-core p.
+                  if (!flag(assigned_, p)
+                           .exchange(1, std::memory_order_acq_rel)) {
+                    uf_.union_sets(q, p);
+                    ++t.unions;
                   }
+                  attached = true;
                 }
               }
               if (!attached) {
@@ -284,8 +283,8 @@ void MuDbscanEngine::cluster() {
                 // Algorithm 8 re-checks the stored neighborhood against the
                 // final core flags and repairs the label.
                 a.noise_pts.push_back(p);
-                for (const auto& [q, d2] : nbhd)
-                  if (q != p) a.noise_nbrs.push_back(q);
+                for (std::size_t h = 0; h < nh; ++h)
+                  if (ids[hits[h]] != p) a.noise_nbrs.push_back(ids[hits[h]]);
                 a.noise_off.push_back(
                     static_cast<std::uint32_t>(a.noise_nbrs.size()));
               }
@@ -300,39 +299,56 @@ void MuDbscanEngine::cluster() {
             // Dynamic wndq promotion (Algorithm 6 lines 18-21): if >= MinPts
             // of the neighbors sit strictly within eps/2 of p, they are
             // pairwise strictly within eps of each other, so each of them is
-            // core — no query needed.
+            // core — no query needed. Each inner hit is promoted in the pass
+            // below, before its own union and before any skip.
+            bool promote = false;
             if (cfg_.dynamic_promotion) {
               std::size_t inner = 0;
-              for (const auto& [q, d2] : nbhd)
-                if (d2 < half2) ++inner;
-              if (inner >= min_pts) {
-                for (const auto& [q, d2] : nbhd) {
-                  if (d2 >= half2 ||
-                      flag(is_core_, q).load(std::memory_order_relaxed) ||
-                      flag(is_core_, q).exchange(1, std::memory_order_seq_cst))
-                    continue;
-                  // Claim the tag only if untagged (compare-exchange from 0,
-                  // not a blind exchange): an Algorithm 4 DMC/CMC reason is
-                  // never overwritten, keeping the dmc/cmc ledger counts
-                  // deterministic at every thread count. Only the winner of
-                  // the is_core_ exchange gets here, so no pre-check.
-                  std::uint8_t expected = kWndqNone;
-                  if (flag(wndq_, q).compare_exchange_strong(
-                          expected, kWndqPromotion, std::memory_order_relaxed))
-                    ++t.wndq;
-                }
-              }
+              for (std::size_t h = 0; h < nh; ++h) inner += d2[hits[h]] < half2;
+              promote = inner >= min_pts;
             }
 
             // `root` tracks p's set through the unions, so each union
-            // starts from a root instead of walking up from p again.
+            // starts from a root instead of walking up from p again. Once p
+            // joins a core of a dense or core reach MC, the rest of that
+            // MC's hits are skipped: Algorithm 4 already put every member of
+            // it in its centre's set, now p's, and marked them assigned_.
+            // `run` is the cursor over the block's reach MCs, `run_end` the
+            // end of run's members, and hits below `joined_end` lie in a
+            // non-sparse MC that p has joined.
             PointId root = p;
-            for (const auto& [q, d2] : nbhd) {
+            std::size_t run = 0;
+            std::uint32_t run_end = 0, joined_end = 0;
+            bool run_sparse = true;
+            for (std::size_t h = 0; h < nh; ++h) {
+              const std::uint32_t pos = hits[h];
+              const PointId q = ids[pos];
+              if (promote && d2[pos] < half2 &&
+                  !flag(is_core_, q).load(std::memory_order_relaxed) &&
+                  !flag(is_core_, q).exchange(1, std::memory_order_seq_cst)) {
+                // Claim the tag only if untagged (compare-exchange from 0,
+                // not a blind exchange): an Algorithm 4 DMC/CMC reason is
+                // never overwritten, keeping the dmc/cmc ledger counts
+                // deterministic at every thread count. Only the winner of
+                // the is_core_ exchange gets here, so no pre-check.
+                std::uint8_t expected = kWndqNone;
+                if (flag(wndq_, q).compare_exchange_strong(
+                        expected, kWndqPromotion, std::memory_order_relaxed))
+                  ++t.wndq;
+              }
+              if (pos < joined_end) continue;
               if (flag(is_core_, q).load(std::memory_order_seq_cst)) {
                 root = uf_.union_sets(root, q);
                 ++t.unions;
                 if (!flag(assigned_, q).load(std::memory_order_relaxed))
                   flag(assigned_, q).store(1, std::memory_order_release);
+                if (pos >= run_end) {
+                  while (block.mc_end[run] <= pos) ++run;
+                  run_end = block.mc_end[run];
+                  run_sparse = tree_->mc(block.mcs[run]).classify(min_pts) ==
+                               McKind::Sparse;
+                }
+                if (!run_sparse) joined_end = run_end;
               } else if (!flag(assigned_, q).load(std::memory_order_relaxed) &&
                          !flag(assigned_, q)
                               .exchange(1, std::memory_order_acq_rel)) {
@@ -359,10 +375,10 @@ void MuDbscanEngine::cluster() {
     std::size_t scratch_bytes = 0;
     for (const Accum& a : acc)
       scratch_bytes += vector_bytes(a.noise_pts) + vector_bytes(a.noise_off) +
-                       vector_bytes(a.noise_nbrs) + vector_bytes(a.nbhd) +
-                       vector_bytes(a.block.ids) +
+                       vector_bytes(a.noise_nbrs) + vector_bytes(a.block.ids) +
                        vector_bytes(a.block.coords) +
-                       vector_bytes(a.block.d2) + vector_bytes(a.block.mcs);
+                       vector_bytes(a.block.d2) + vector_bytes(a.block.hits) +
+                       vector_bytes(a.block.mcs) + vector_bytes(a.block.mc_end);
     thread_scratch.acquire_throw(guard_, scratch_bytes,
                                  "per-thread scratch buffers");
   }

@@ -256,6 +256,7 @@ void MuRTree::gather_candidates(McId z, double radius, bool mbr_filter,
   b.coords.resize(total * dim);
   b.d2.resize(total);
   b.hits.resize(total);
+  b.mc_end.clear();
   std::size_t at = 0;
   for (McId r : b.mcs) {
     const std::size_t s0 = slot_off_[r], cnt = slot_off_[r + 1] - s0;
@@ -264,6 +265,7 @@ void MuRTree::gather_candidates(McId z, double radius, bool mbr_filter,
     for (std::size_t k = 0; k < dim; ++k)
       std::copy_n(src + k * cnt, cnt, &b.coords[k * total + at]);
     at += cnt;
+    b.mc_end.push_back(static_cast<std::uint32_t>(at));
   }
 }
 

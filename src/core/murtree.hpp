@@ -30,10 +30,10 @@
 // ids. Each AuxR-tree is thus its root MBR over one block: MCs average a
 // handful of points, so leaf MBRs below the root would cost more to build
 // than they save. A by-id or position query tests the root MBR, then hands
-// the block to sq_dist_block_soa in chunks of kScanChunk points. Algorithm 6
-// instead gathers, once per MC, one candidate block from the blocks of the
-// reach MCs near it and runs each of the MC's queries as one kernel pass
-// over that block (gather_candidates).
+// the block to the range kernel (sq_dist_block_soa_hits) in chunks of
+// kScanChunk points. Algorithm 6 instead gathers, once per MC, one candidate
+// block from the blocks of the reach MCs near it and runs each of the MC's
+// queries as one range-kernel pass over that block (gather_candidates).
 
 #pragma once
 
@@ -183,41 +183,37 @@ class MuRTree {
   // MC z, the members of every reach MC whose root MBR comes within `radius`
   // of z's root MBR (every reach MC when mbr_filter is false) into one
   // dim-major SoA block; query_candidates() then answers a query from any
-  // member of z with one sq_dist_block_soa pass over it. A neighbour of a
-  // member of z belongs to a reach MC (Lemma 3) whose root MBR is no farther
-  // from z's than the two points are from each other, so for radius <= eps
-  // the answer is query_neighborhood(p, radius)'s: the same members in the
-  // same order (reach-list order, then slot order). The block's counts are
-  // those since the last publish_counts().
+  // member of z with one sq_dist_block_soa_hits pass over it and returns the
+  // number of hits: b.hits[0, n) are the block positions strictly within
+  // `radius`, ascending, with ids b.ids[pos] and squared distances
+  // b.d2[pos]. A neighbour of a member of z belongs to a reach MC (Lemma 3)
+  // whose root MBR is no farther from z's than the two points are from each
+  // other, so for radius <= eps the hits are query_neighborhood(p, radius)'s
+  // members in the same order (reach-list order, then slot order), grouped
+  // by reach MC: b.mcs[j]'s members sit at positions [b.mc_end[j-1],
+  // b.mc_end[j]). The block's counts are those since the last
+  // publish_counts().
   struct CandidateBlock : QueryCounts {
     std::vector<PointId> ids;
     std::vector<double> coords;       // dim-major, stride ids.size()
     std::vector<double> d2;           // one query's squared distances
     std::vector<std::uint32_t> hits;  // one query's hits, block positions
     std::vector<McId> mcs;            // the gathered reach MCs
+    std::vector<std::uint32_t> mc_end;  // end position of each MC's run
     std::size_t lanes = active_simd_lanes();
   };
   void gather_candidates(McId z, double radius, bool mbr_filter,
                          CandidateBlock& b) const;
-  template <class Fn>
-    requires std::invocable<Fn&, PointId, double>
-  void query_candidates(CandidateBlock& b, const double* q, double radius,
-                        Fn&& fn) const {
+  [[nodiscard]] std::size_t query_candidates(CandidateBlock& b,
+                                             const double* q,
+                                             double radius) const noexcept {
     const std::size_t cnt = b.ids.size();
-    const double r2 = radius * radius;
-    sq_dist_block_soa(q, b.coords.data(), cnt, cnt, ds_->dim(), b.d2.data());
     b.evals += cnt;
     ++b.blocks;
     b.tail += cnt % b.lanes;
-    // Branch-free compaction first: about one candidate in four is a hit,
-    // so a branch per candidate would mispredict often.
-    std::uint32_t* hit = b.hits.data();
-    std::size_t hits = 0;
-    for (std::size_t i = 0; i < cnt; ++i) {
-      hit[hits] = static_cast<std::uint32_t>(i);
-      hits += b.d2[i] < r2;
-    }
-    for (std::size_t h = 0; h < hits; ++h) fn(b.ids[hit[h]], b.d2[hit[h]]);
+    return sq_dist_block_soa_hits(q, b.coords.data(), cnt, cnt, ds_->dim(),
+                                  radius * radius, b.d2.data(),
+                                  b.hits.data());
   }
   // Adds the block's counts to the tree's totals and zeroes them.
   void publish_counts(CandidateBlock& b) const;
@@ -271,17 +267,11 @@ class MuRTree {
     std::uint32_t hit[kScanChunk];
     for (std::size_t at = 0; at < size; at += kScanChunk) {
       const std::size_t cnt = std::min(kScanChunk, size - at);
-      sq_dist_block_soa(q, block + at, cnt, size, dim, d2);
+      const std::size_t hits =
+          sq_dist_block_soa_hits(q, block + at, cnt, size, dim, r2, d2, hit);
       t.evals += cnt;
       ++t.blocks;
       t.tail += cnt % t.lanes;
-      // Branch-free compaction first, as in query_candidates: in a large MC
-      // most members miss the ball, and a branch per member mispredicts.
-      std::size_t hits = 0;
-      for (std::size_t i = 0; i < cnt; ++i) {
-        hit[hits] = static_cast<std::uint32_t>(i);
-        hits += d2[i] < r2;
-      }
       for (std::size_t h = 0; h < hits; ++h)
         fn(slot_ids_[s0 + at + hit[h]], d2[hit[h]]);
     }

@@ -3,15 +3,20 @@
 // dispatch target produces BIT-IDENTICAL squared distances to the portable
 // scalar reference — including duplicates, signed zeros, denormals, and
 // points exactly on the eps boundary — so forcing any UDB_SIMD target can
-// never change a clustering.
+// never change a clustering. The range kernels (sq_dist_block_soa_hits)
+// must also list exactly the reference's hits: the positions with d2 < r2,
+// strict, in ascending order.
 
 #include "common/simd.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -45,6 +50,34 @@ void expect_bitwise_equal(const std::vector<double>& ref,
   }
 }
 
+// Runs every runnable target's range kernel over one block and checks it
+// against the definition: d2 bit-identical to the scalar distance kernel,
+// hits = the ascending positions with d2 < r2, nothing written past `count`.
+void expect_hits_match_reference(const double* q, const double* block,
+                                 std::size_t count, std::size_t stride,
+                                 std::size_t dim, double r2,
+                                 const std::string& where) {
+  const auto ref = scalar_ref(q, block, count, stride, dim);
+  std::vector<std::uint32_t> ref_hits;
+  for (std::size_t i = 0; i < count; ++i)
+    if (ref[i] < r2) ref_hits.push_back(static_cast<std::uint32_t>(i));
+  constexpr std::uint32_t kSentinel = 0xDEADBEEF;
+  for (SimdTarget t : runnable_simd_targets()) {
+    std::vector<double> got(count + 1, -1.0);
+    std::vector<std::uint32_t> hits(count + 1, kSentinel);
+    const std::size_t n = simd_hits_kernel_for(t)(q, block, count, stride, dim,
+                                                  r2, got.data(), hits.data());
+    EXPECT_EQ(hits[count], kSentinel) << simd_target_name(t) << " " << where;
+    EXPECT_EQ(got[count], -1.0) << simd_target_name(t) << " " << where;
+    got.resize(count);
+    expect_bitwise_equal(ref, got, t, dim, count);
+    ASSERT_LE(n, count) << simd_target_name(t) << " " << where;
+    hits.resize(n);
+    EXPECT_EQ(hits, ref_hits) << simd_target_name(t) << " " << where
+                              << " r2=" << r2;
+  }
+}
+
 TEST(SimdKernel, AllTargetsBitExactOnRandomBlocks) {
   Rng rng(20260808);
   const std::size_t counts[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 64, 100};
@@ -71,6 +104,46 @@ TEST(SimdKernel, AllTargetsBitExactOnRandomBlocks) {
                            got.data());
         expect_bitwise_equal(ref, got, t, dim, count);
       }
+      // Range form, with r2 one of the block's own distances (that point is
+      // exactly at r, so it is not a hit).
+      std::vector<double> sorted = ref;
+      std::sort(sorted.begin(), sorted.end());
+      const double r2 = count == 0 ? 1.0 : sorted[count / 2];
+      expect_hits_match_reference(q.data(), block.data(), count, stride, dim,
+                                  r2, "random dim=" + std::to_string(dim) +
+                                          " count=" + std::to_string(count));
+    }
+  }
+}
+
+TEST(SimdKernel, RangeKernelMatchesReferenceAtEveryTailLength) {
+  // Counts 0 .. 3 * lanes + 1 of the widest target, so every target runs
+  // whole vectors, a partial tail and blocks shorter than one vector; stride
+  // > count, so the spare slots of every axis hold points that must never
+  // be read. Coordinates are small integers (exact squares and sums), so
+  // many points sit exactly at r and the strict comparison decides them;
+  // block point 0 duplicates q, and point 1 is q's -0.0 twin.
+  Rng rng(20261019);
+  std::size_t max_lanes = 1;
+  for (SimdTarget t : runnable_simd_targets())
+    max_lanes = std::max(max_lanes, simd_lanes(t));
+  for (std::size_t dim : {1u, 2u, 3u, 14u}) {
+    for (std::size_t count = 0; count <= 3 * max_lanes + 1; ++count) {
+      const std::size_t stride = count + 5;
+      std::vector<double> block(stride * dim);
+      for (auto& v : block) v = static_cast<double>(rng.uniform_index(7)) - 3.0;
+      std::vector<double> q(dim, 0.0);
+      q[0] = -0.0;
+      for (std::size_t k = 0; k < dim && count > 1; ++k) {
+        block[k * stride + 0] = q[k];
+        block[k * stride + 1] = q[k] == 0.0 ? -q[k] : q[k];
+      }
+      const std::string where =
+          "dim=" + std::to_string(dim) + " count=" + std::to_string(count);
+      for (double r2 : {0.0, 1.0, 2.0, 4.0, 9.0, 1e300,
+                        std::numeric_limits<double>::infinity()})
+        expect_hits_match_reference(q.data(), block.data(), count, stride,
+                                    dim, r2, where);
     }
   }
 }
@@ -92,6 +165,10 @@ TEST(SimdKernel, DenormalsAndExtremesBitExact) {
     simd_kernel_for(t)(q.data(), block.data(), count, stride, dim, got.data());
     expect_bitwise_equal(ref, got, t, dim, count);
   }
+  // Subnormal radii split the subnormal distances; r2 = 0 admits nothing.
+  for (double r2 : {0.0, denorm, 2 * denorm, tiny * tiny, 1e-300, 1.0})
+    expect_hits_match_reference(q.data(), block.data(), count, stride, dim,
+                                r2, "denormals");
 }
 
 TEST(SimdKernel, ExactEpsBoundaryIsExactForEveryTarget) {
@@ -113,6 +190,18 @@ TEST(SimdKernel, ExactEpsBoundaryIsExactForEveryTarget) {
       EXPECT_FALSE(got[i] < 25.0);  // strict eps=5 excludes
       EXPECT_TRUE(got[i] <= 25.0);  // non-strict eps=5 includes
     }
+    // The range form is strict: at r2 = 25 no point is a hit, one ulp above
+    // every point is.
+    std::vector<std::uint32_t> hits(count);
+    EXPECT_EQ(simd_hits_kernel_for(t)(q.data(), block.data(), count, stride,
+                                      dim, 25.0, got.data(), hits.data()),
+              0u)
+        << simd_target_name(t);
+    EXPECT_EQ(simd_hits_kernel_for(t)(q.data(), block.data(), count, stride,
+                                      dim, std::nextafter(25.0, 26.0),
+                                      got.data(), hits.data()),
+              count)
+        << simd_target_name(t);
   }
 }
 
@@ -136,6 +225,7 @@ TEST(SimdDispatch, ScalarAlwaysRunnableAndListedFirst) {
   for (SimdTarget t : targets) {
     EXPECT_TRUE(simd_target_runnable(t));
     EXPECT_NE(simd_kernel_for(t), nullptr);
+    EXPECT_NE(simd_hits_kernel_for(t), nullptr);
     EXPECT_GE(simd_lanes(t), 1u);
   }
 }
@@ -153,6 +243,13 @@ TEST(SimdDispatch, ForceSwitchesActiveTargetAndLanes) {
     double ref[3], got[3];
     sq_dist_block_soa_scalar(q, block, 3, 3, 2, ref);
     sq_dist_block_soa(q, block, 3, 3, 2, got);
+    EXPECT_EQ(std::memcmp(ref, got, sizeof ref), 0) << simd_target_name(t);
+    std::uint32_t hits[3];
+    const double r2 = ref[1];  // point 1 sits exactly at r: not a hit
+    std::size_t want = 0;
+    for (double d : ref) want += d < r2;
+    EXPECT_EQ(sq_dist_block_soa_hits(q, block, 3, 3, 2, r2, got, hits), want)
+        << simd_target_name(t);
     EXPECT_EQ(std::memcmp(ref, got, sizeof ref), 0) << simd_target_name(t);
   }
 }
