@@ -12,7 +12,8 @@
 // Measured speedups depend on the machine: on a single hardware thread the
 // parallel engine can only show overhead (the JSON records
 // hardware_threads so downstream tooling can interpret the numbers).
-// Emits machine-readable JSON with --out (default BENCH_multicore.json).
+// Emits machine-readable JSON with --out (default BENCH_multicore.json); each
+// row carries the `layers` object of its final rep (bench::kFitLayers).
 
 #include <algorithm>
 #include <sstream>
@@ -40,6 +41,7 @@ struct Row {
   bool exact = true;
   double sm_model_s = 0.0;
   double d_model_s = 0.0;
+  std::string layers_json;  // final rep's layer seconds
 };
 
 struct DatasetReport {
@@ -51,21 +53,28 @@ struct DatasetReport {
 };
 
 // Best-of-reps wall time for one configuration; returns the last result so
-// the caller can check exactness. `metrics` (optional) receives the merged
-// engine metrics of every rep.
+// the caller can check exactness and the final rep's layer seconds in
+// `layers_json`. `metrics` (optional) receives the final rep's engine
+// metrics.
 double time_run(const NamedDataset& nd, unsigned threads, int reps,
-                ClusteringResult& out,
+                ClusteringResult& out, std::string& layers_json,
                 obs::MetricsRegistry* metrics = nullptr) {
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
+    // Only the final rep feeds the embed and the layers, so they describe
+    // one run.
+    const bool last = r + 1 == reps;
+    obs::Tracer tracer;
     MuDbscanConfig cfg;
     cfg.num_threads = threads;
-    // Only the final rep feeds the embed, so its counts describe one run.
-    cfg.metrics = r + 1 == reps ? metrics : nullptr;
+    cfg.metrics = last ? metrics : nullptr;
+    cfg.tracer = last ? &tracer : nullptr;
     WallTimer timer;
     out = mu_dbscan(nd.data, nd.params, nullptr, cfg);
     const double s = timer.seconds();
     if (r == 0 || s < best) best = s;
+    if (last)
+      layers_json = bench::layers_json_object(bench::layer_seconds(tracer));
   }
   return best;
 }
@@ -98,7 +107,8 @@ void write_json(const std::string& path, double scale, bool quick, int reps,
           << ", \"speedup\": " << r.speedup
           << ", \"exact_vs_sequential\": " << (r.exact ? "true" : "false")
           << ", \"sm_model_seconds\": " << r.sm_model_s
-          << ", \"d_model_seconds\": " << r.d_model_s << "}"
+          << ", \"d_model_seconds\": " << r.d_model_s
+          << ",\n         \"layers\": " << r.layers_json << "}"
           << (j + 1 < rep.rows.size() ? "," : "") << "\n";
     }
     out << "      ]\n    }" << (i + 1 < reports.size() ? "," : "") << "\n";
@@ -139,7 +149,8 @@ int main(int argc, char** argv) {
 
     ClusteringResult seq;
     obs::MetricsRegistry seq_metrics;
-    rep.seq_s = time_run(nd, 1, reps, seq, &seq_metrics);
+    std::string seq_layers;
+    rep.seq_s = time_run(nd, 1, reps, seq, seq_layers, &seq_metrics);
     rep.metrics_json = bench::metrics_json_object(
         seq_metrics.snapshot(), static_cast<std::uint64_t>(nd.data.size()));
 
@@ -156,9 +167,11 @@ int main(int argc, char** argv) {
       if (t == 1) {
         row.measured_s = rep.seq_s;
         row.exact = true;
+        row.layers_json = seq_layers;
       } else {
         ClusteringResult got;
-        row.measured_s = time_run(nd, static_cast<unsigned>(t), reps, got);
+        row.measured_s = time_run(nd, static_cast<unsigned>(t), reps, got,
+                                  row.layers_json);
         row.exact = compare_exact(seq, got).exact();
       }
       row.speedup = rep.seq_s / std::max(row.measured_s, 1e-12);

@@ -193,6 +193,30 @@ TEST(MuDbscan, McMajorAlgorithm6PassesVerifyAtEveryThreadCount) {
   }
 }
 
+// Algorithm 6 skips the rest of a reach MC's hits after one union only when
+// that MC is dense or core. Here both MCs are sparse (MinPts = 5, eps = 1.5):
+// MC 0 = {0, 2, 4}, MC 1 = {1, 3, 5}. Point 2's query claims 1, 3 and 5 as
+// borders; 4's query then finds no core in MC 1 and stays in a set of its
+// own. 1, 3 and 5 are core, and each of their queries meets MC 0's cores 2
+// and 4, in that order, in two different sets: skipping MC 0 after the union
+// with 2 would leave 4 a cluster of its own.
+TEST(MuDbscan, SparseReachMcGetsOneUnionPerCoreHit) {
+  const Dataset ds(2, {2, 2.5, 2.5, 4.5, 3, 3.5, 2, 4.5, 1.5, 3.5, 2.5, 4});
+  const DbscanParams prm{1.5, 5};
+  const auto truth = brute_dbscan(ds, prm);
+  ASSERT_EQ(truth.num_clusters(), 1u);
+  for (unsigned threads : {1u, 4u}) {
+    MuDbscanConfig cfg;
+    cfg.num_threads = threads;
+    MuDbscanStats st;
+    const auto got = mu_dbscan(ds, prm, &st, cfg);
+    ASSERT_EQ(st.num_mcs, 2u);
+    ASSERT_EQ(st.smc, 2u);
+    const auto rep = compare_exact(truth, got);
+    EXPECT_TRUE(rep.exact()) << rep.detail << " (threads=" << threads << ")";
+  }
+}
+
 TEST(MuDbscan, NoisePromotedToBorderByLateWndqCore) {
   // Regression guard for Algorithm 8: a point processed as provisional noise
   // whose neighbor is promoted to wndq-core later must end as border. We
