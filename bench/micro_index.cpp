@@ -18,19 +18,6 @@ Dataset bench_dataset(std::size_t n) {
   return gen_galaxy(n, cfg, 12345);
 }
 
-void BM_RTreeBuild(benchmark::State& state) {
-  const Dataset ds = bench_dataset(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    RTree tree(ds.dim());
-    for (std::size_t i = 0; i < ds.size(); ++i)
-      tree.insert(ds.ptr(static_cast<PointId>(i)), static_cast<PointId>(i));
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(ds.size()));
-}
-BENCHMARK(BM_RTreeBuild)->Arg(2000)->Arg(10000)->Arg(40000);
-
 void BM_MuRTreeBuild(benchmark::State& state) {
   const Dataset ds = bench_dataset(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -44,9 +31,7 @@ BENCHMARK(BM_MuRTreeBuild)->Arg(2000)->Arg(10000)->Arg(40000);
 
 void BM_RTreeEpsQuery(benchmark::State& state) {
   const Dataset ds = bench_dataset(static_cast<std::size_t>(state.range(0)));
-  RTree tree(ds.dim());
-  for (std::size_t i = 0; i < ds.size(); ++i)
-    tree.insert(ds.ptr(static_cast<PointId>(i)), static_cast<PointId>(i));
+  const RTree tree = RTree::bulk_load_str(ds);
   std::vector<PointId> out;
   PointId q = 0;
   for (auto _ : state) {
@@ -78,12 +63,7 @@ BENCHMARK(BM_MuRTreeEpsQuery)->Arg(10000)->Arg(40000)->Arg(100000);
 void BM_RTreeBulkLoadStr(benchmark::State& state) {
   const Dataset ds = bench_dataset(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    std::vector<std::pair<const double*, PointId>> items;
-    items.reserve(ds.size());
-    for (std::size_t i = 0; i < ds.size(); ++i)
-      items.emplace_back(ds.ptr(static_cast<PointId>(i)),
-                         static_cast<PointId>(i));
-    RTree tree = RTree::bulk_load_str(ds.dim(), std::move(items));
+    const RTree tree = RTree::bulk_load_str(ds);
     benchmark::DoNotOptimize(tree.size());
   }
   state.SetItemsProcessed(state.iterations() *

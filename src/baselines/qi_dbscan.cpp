@@ -57,9 +57,7 @@ ClusteringResult qi_dbscan(const Dataset& ds, const DbscanParams& params,
   const std::size_t n = ds.size();
   QiDbscanStats local_stats;
 
-  RTree tree(ds.dim());
-  for (std::size_t i = 0; i < n; ++i)
-    tree.insert(ds.ptr(static_cast<PointId>(i)), static_cast<PointId>(i));
+  const RTree tree = RTree::bulk_load_str(ds);
 
   ClusteringResult res;
   res.label.assign(n, kNoise);

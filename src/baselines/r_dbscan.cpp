@@ -11,9 +11,7 @@ ClusteringResult r_dbscan(const Dataset& ds, const DbscanParams& params,
   const std::size_t n = ds.size();
   WallTimer timer;
 
-  RTree tree(ds.dim());
-  for (std::size_t i = 0; i < n; ++i)
-    tree.insert(ds.ptr(static_cast<PointId>(i)), static_cast<PointId>(i));
+  const RTree tree = RTree::bulk_load_str(ds);
   const double build_s = timer.seconds();
 
   timer.reset();

@@ -41,12 +41,11 @@ ClusteringResult sampled_dbscan(const Dataset& ds, const DbscanParams& params,
   }
   local_stats.sample_size = sample.size();
 
-  RTree tree(ds.dim());
-  for (std::size_t i = 0; i < sample.size(); ++i) {
-    if (guard && i % kCheckStride == 0)
-      guard->check_throw("sampled_dbscan index build");
-    tree.insert(ds.ptr(sample[i]), sample[i]);
-  }
+  if (guard) guard->check_throw("sampled_dbscan index build");
+  std::vector<std::pair<const double*, PointId>> items;
+  items.reserve(sample.size());
+  for (PointId p : sample) items.emplace_back(ds.ptr(p), p);
+  const RTree tree = RTree::bulk_load_str(ds.dim(), std::move(items));
   ScopedCharge tree_charge;
   if (guard)
     tree_charge.acquire_throw(guard, tree.memory_bytes(),

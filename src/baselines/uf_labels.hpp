@@ -5,48 +5,32 @@
 
 #pragma once
 
-#include <unordered_map>
-
 #include "metrics/clustering.hpp"
 #include "unionfind/union_find.hpp"
 
 namespace udb {
 
-namespace detail {
-
-template <typename UF>
-ClusteringResult extract_labels_impl(UF& uf, std::vector<std::uint8_t> is_core,
-                                     const std::vector<std::uint8_t>& assigned) {
-  const std::size_t n = uf.size();
-  ClusteringResult res;
-  res.is_core = std::move(is_core);
-  res.label.assign(n, kNoise);
-  std::unordered_map<PointId, std::int64_t> root_to_label;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!res.is_core[i] && !assigned[i]) continue;  // noise
-    const PointId root = uf.find(static_cast<PointId>(i));
-    auto [it, inserted] = root_to_label.try_emplace(
-        root, static_cast<std::int64_t>(root_to_label.size()));
-    res.label[i] = it->second;
-  }
-  return res;
-}
-
-}  // namespace detail
-
-inline ClusteringResult extract_labels(UnionFind& uf,
-                                       std::vector<std::uint8_t> is_core,
-                                       const std::vector<std::uint8_t>& assigned) {
-  return detail::extract_labels_impl(uf, std::move(is_core), assigned);
-}
-
-// Const overload: uses the non-compressing read-only find, so extraction can
-// run from const contexts (e.g. MuDbscanEngine::extract_result) without the
-// former const_cast.
+// Labels are numbered in order of first appearance among the non-noise
+// points. Reads the union-find without changing it (one forward pass,
+// UnionFind::component_ids), so extraction runs from const contexts such as
+// MuDbscanEngine::extract_result.
 inline ClusteringResult extract_labels(const UnionFind& uf,
                                        std::vector<std::uint8_t> is_core,
                                        const std::vector<std::uint8_t>& assigned) {
-  return detail::extract_labels_impl(uf, std::move(is_core), assigned);
+  std::vector<std::uint32_t> comp;
+  const std::size_t k = uf.component_ids(comp);
+  std::vector<std::int64_t> label_of(k, kNoise);
+  std::int64_t next = 0;
+  ClusteringResult res;
+  res.is_core = std::move(is_core);
+  res.label.assign(uf.size(), kNoise);
+  for (std::size_t i = 0; i < uf.size(); ++i) {
+    if (!res.is_core[i] && !assigned[i]) continue;  // noise
+    std::int64_t& l = label_of[comp[i]];
+    if (l == kNoise) l = next++;
+    res.label[i] = l;
+  }
+  return res;
 }
 
 }  // namespace udb

@@ -1,8 +1,7 @@
 // Axis-aligned bounding box (the R-tree literature's MBR) in d dimensions.
 //
 // Boxes are the only geometric primitive the spatial indexes need: point
-// containment, box-box overlap, box-ball overlap (for eps-region queries) and
-// enlargement metrics for the Guttman insertion heuristics.
+// containment, box-box overlap and box-ball overlap (for eps-region queries).
 
 #pragma once
 
@@ -130,24 +129,6 @@ class Box {
   [[nodiscard]] bool overlaps_ball(std::span<const double> center,
                                    double radius) const noexcept {
     return min_sq_dist(center) <= radius * radius;
-  }
-
-  // Sum of side lengths of the enlargement needed to include `o` — Guttman's
-  // "area enlargement" generalized with margin (perimeter) to stay finite in
-  // high dimensions, where products of many side lengths under/overflow.
-  [[nodiscard]] double enlargement_margin(const Box& o) const noexcept {
-    double before = 0.0, after = 0.0;
-    for (std::size_t k = 0; k < dim(); ++k) {
-      before += hi_[k] - lo_[k];
-      after += std::max(hi_[k], o.hi_[k]) - std::min(lo_[k], o.lo_[k]);
-    }
-    return after - before;
-  }
-
-  [[nodiscard]] double margin() const noexcept {
-    double m = 0.0;
-    for (std::size_t k = 0; k < dim(); ++k) m += hi_[k] - lo_[k];
-    return m;
   }
 
   [[nodiscard]] std::span<const double> lo_span() const noexcept {

@@ -25,7 +25,7 @@ IncrementalMuDbscan::IncrementalMuDbscan(std::size_t dim,
       params_(params),
       cfg_(cfg),
       eps2_(params.eps * params.eps),
-      centers_(dim) {
+      centers_(dim, params.eps) {
   if (dim_ == 0)
     throw std::invalid_argument("IncrementalMuDbscan: dim must be > 0");
   if (!(params_.eps > 0.0))
@@ -41,14 +41,19 @@ IncrementalMuDbscan::IncrementalMuDbscan(std::size_t dim,
 void IncrementalMuDbscan::collect_neighbors(
     const double* q, PointId exclude,
     std::vector<std::pair<PointId, double>>& out, std::size_t* touched) const {
-  std::vector<PointId> cands;
-  centers_.query_ball({q, dim_}, mc_candidate_radius(params_.eps, params_.eps),
-                      cands, /*strict=*/false);
-  for (PointId cid : cands) {
-    const Mc& mc = mcs_[cid];
-    if (mc.alive_members == 0) continue;
-    if (touched) ++*touched;
-    for (PointId m : mc.members) {
+  // Members lie strictly within eps of their centre, so a point within eps
+  // of q is in an MC whose centre is within 2*eps
+  // (mc_candidate_radius(eps, eps)). The MCs are scanned nearest centre
+  // first, ties by id: the split search expands neighbours in this order and
+  // stops once it has reached every seed, so its cost follows the geometry
+  // and not the index's layout.
+  candidates_.clear();
+  centers_.visit_within_2eps(
+      q, [&](std::uint32_t z, double d2) { candidates_.emplace_back(d2, z); });
+  std::sort(candidates_.begin(), candidates_.end());
+  if (touched) *touched += candidates_.size();
+  for (const auto& [center_d2, z] : candidates_) {
+    for (PointId m : mcs_[z].members) {
       if (m == exclude || !alive_[m]) continue;
       const double d2 = sq_dist(q, ptr(m), dim_);
       if (d2 < eps2_) out.emplace_back(m, d2);
@@ -59,17 +64,10 @@ void IncrementalMuDbscan::collect_neighbors(
 void IncrementalMuDbscan::assign_to_mc(PointId id, const double* pt) {
   // Join the first MC whose centre is strictly within eps (the streaming
   // assignment rule: no 2*eps deferral — a stream cannot replay a second
-  // pass; exactness does not depend on the MC partition). A tombstoned MC
-  // still in the centres tree may be revived here — its ghost centre keeps
-  // the member-within-eps invariant.
-  const PointId hit = centers_.first_within({pt, dim_}, params_.eps);
-  if (hit != kInvalidPoint) {
+  // pass; exactness does not depend on the MC partition).
+  const std::uint32_t hit = centers_.first_within_eps(pt);
+  if (hit != CenterCells::kNone) {
     Mc& mc = mcs_[hit];
-    if (mc.alive_members == 0) {
-      ++live_mcs_;
-      --dead_center_entries_;
-      compact_members(mc);  // likely all-dead membership
-    }
     mc.members.push_back(id);
     ++mc.alive_members;
     mc_of_[id] = static_cast<McId>(hit);
@@ -77,54 +75,23 @@ void IncrementalMuDbscan::assign_to_mc(PointId id, const double* pt) {
       compact_members(mc);
     return;
   }
-  const McId z = static_cast<McId>(mcs_.size());
-  Mc mc;
-  mc.center.assign(pt, pt + dim_);
-  mc.members.push_back(id);
-  mc.alive_members = 1;
-  mcs_.push_back(std::move(mc));
-  // The centre coordinates are the MC's own stable heap buffer (a vector
-  // relocation moves the Mc struct, not the buffer), so the tree entry stays
-  // valid for the MC's whole lifetime.
-  centers_.insert(mcs_[z].center.data(), z);
-  ++center_entries_;
+  McId z;
+  if (free_mcs_.empty()) {
+    z = static_cast<McId>(mcs_.size());
+    mcs_.emplace_back();
+  } else {
+    z = free_mcs_.back();
+    free_mcs_.pop_back();
+  }
+  mcs_[z].members.push_back(id);
+  mcs_[z].alive_members = 1;
+  centers_.insert(pt, z);
   ++live_mcs_;
   mc_of_[id] = z;
 }
 
 void IncrementalMuDbscan::compact_members(Mc& mc) {
   std::erase_if(mc.members, [&](PointId m) { return !alive_[m]; });
-}
-
-void IncrementalMuDbscan::maybe_rebuild_centers() {
-  // Caller just emptied one MC. The R-tree has no remove, so tombstoned
-  // centres accumulate as ghost entries; once they outnumber the live ones
-  // the tree is rebuilt over live centres only (dropped MCs can then never
-  // be revived — `in_tree` records that).
-  --live_mcs_;
-  ++dead_center_entries_;
-  if (center_entries_ < 64 || dead_center_entries_ * 2 <= center_entries_)
-    return;
-  RTree fresh(dim_);
-  std::size_t entries = 0;
-  for (std::size_t z = 0; z < mcs_.size(); ++z) {
-    Mc& mc = mcs_[z];
-    if (mc.alive_members == 0) {
-      if (mc.in_tree) {
-        mc.in_tree = false;
-        mc.members.clear();
-        mc.members.shrink_to_fit();
-        mc.center.clear();
-        mc.center.shrink_to_fit();
-      }
-      continue;
-    }
-    fresh.insert(mc.center.data(), static_cast<PointId>(z));
-    ++entries;
-  }
-  centers_ = std::move(fresh);
-  center_entries_ = entries;
-  dead_center_entries_ = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -307,13 +274,19 @@ bool IncrementalMuDbscan::erase(PointId id) {
   border_core_[id] = kInvalidPoint;
   border_d2_[id] = kInf;
   {
-    Mc& mc = mcs_[mc_of_[id]];
+    const McId z = mc_of_[id];
+    Mc& mc = mcs_[z];
     --mc.alive_members;
-    if (mc.alive_members == 0)
-      maybe_rebuild_centers();
-    else if (mc.members.size() > 16 &&
-             mc.alive_members * 2 < mc.members.size())
+    if (mc.alive_members == 0) {
+      // The MC leaves the index at once; its id is free for the next MC.
+      centers_.erase(z);
+      std::vector<PointId>().swap(mc.members);
+      free_mcs_.push_back(z);
+      --live_mcs_;
+    } else if (mc.members.size() > 16 &&
+               mc.alive_members * 2 < mc.members.size()) {
       compact_members(mc);
+    }
   }
 
   // Exact count maintenance: deletion only lowers counts, so the only status
@@ -614,7 +587,8 @@ void IncrementalMuDbscan::check_invariants() const {
       }
     }
   }
-  // Micro-cluster structure.
+  // Micro-cluster structure: the index holds exactly the live MCs.
+  centers_.check_invariants();
   std::size_t alive_sum = 0;
   std::size_t live = 0;
   for (std::size_t z = 0; z < mcs_.size(); ++z) {
@@ -625,7 +599,8 @@ void IncrementalMuDbscan::check_invariants() const {
       ++alive_here;
       if (mc_of_[m] != static_cast<McId>(z))
         throw std::logic_error("incremental: mc_of mismatch");
-      if (sq_dist(mc.center.data(), ptr(m), dim_) >= eps2_)
+      if (sq_dist(centers_.center(static_cast<std::uint32_t>(z)), ptr(m),
+                  dim_) >= eps2_)
         throw std::logic_error("incremental: member outside its MC");
     }
     if (alive_here != mc.alive_members)
@@ -633,7 +608,8 @@ void IncrementalMuDbscan::check_invariants() const {
     alive_sum += alive_here;
     if (alive_here > 0) ++live;
   }
-  if (alive_sum != alive_count_ || live != live_mcs_)
+  if (alive_sum != alive_count_ || live != live_mcs_ ||
+      live != centers_.num_centers() || live + free_mcs_.size() != mcs_.size())
     throw std::logic_error("incremental: MC population drift");
   // Label partition == connected components of the core graph.
   std::vector<std::int64_t> comp(total_, -1);

@@ -51,7 +51,7 @@
 
 #include "common/dataset.hpp"
 #include "core/microcluster.hpp"
-#include "index/rtree.hpp"
+#include "index/center_cells.hpp"
 #include "metrics/clustering.hpp"
 #include "obs/metrics.hpp"
 
@@ -131,11 +131,12 @@ class IncrementalMuDbscan {
   void check_invariants() const;
 
  private:
+  // A live MC is in centers_ under its id, which holds its centre's
+  // coordinates (they outlive the centre point's erasure). An MC whose last
+  // member is erased leaves centers_ at once, and its id is reused.
   struct Mc {
-    std::vector<double> center;    // owned copy: survives centre-point erasure
     std::vector<PointId> members;  // may contain erased ids until compacted
     std::uint32_t alive_members = 0;
-    bool in_tree = true;  // false once a centres-tree rebuild dropped it
   };
 
   [[nodiscard]] const double* ptr(PointId id) const noexcept {
@@ -143,16 +144,15 @@ class IncrementalMuDbscan {
            static_cast<std::size_t>(id % kChunkPoints) * dim_;
   }
 
-  // All alive points strictly within eps of q (excluding `exclude`), as
-  // (id, squared distance) pairs. Bumps *touched by the candidate MCs
-  // scanned.
+  // Appends every alive point strictly within eps of q (excluding
+  // `exclude`) to `out`, as (id, squared distance) pairs. Bumps *touched by
+  // the candidate MCs scanned: the MCs whose centres are within 2*eps of q.
   void collect_neighbors(const double* q, PointId exclude,
                          std::vector<std::pair<PointId, double>>& out,
                          std::size_t* touched) const;
 
   void assign_to_mc(PointId id, const double* pt);
   void compact_members(Mc& mc);
-  void maybe_rebuild_centers();
 
   // Label union-find (labels are slots in label_parent_, grown on demand).
   [[nodiscard]] std::int64_t find_label(std::int64_t l) const;
@@ -196,10 +196,11 @@ class IncrementalMuDbscan {
   std::vector<McId> mc_of_;
 
   std::vector<Mc> mcs_;
+  std::vector<McId> free_mcs_;  // ids of emptied MCs, reused last-in first
   std::size_t live_mcs_ = 0;
-  RTree centers_;
-  std::size_t center_entries_ = 0;       // entries in centers_ (incl. dead)
-  std::size_t dead_center_entries_ = 0;  // tombstoned MCs still in centers_
+  CenterCells centers_;
+  // collect_neighbors' candidate MCs as (centre squared distance, id).
+  mutable std::vector<std::pair<double, McId>> candidates_;
 
   mutable std::vector<std::int64_t> label_parent_;  // mutable: path halving
   std::vector<std::int64_t> label_size_;            // union-by-size heuristic

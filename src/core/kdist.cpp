@@ -15,12 +15,7 @@ std::vector<double> kdist_graph(const Dataset& ds, std::size_t k) {
   out.reserve(n);
   if (n == 0) return out;
 
-  std::vector<std::pair<const double*, PointId>> items;
-  items.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    items.emplace_back(ds.ptr(static_cast<PointId>(i)),
-                       static_cast<PointId>(i));
-  const RTree tree = RTree::bulk_load_str(ds.dim(), std::move(items));
+  const RTree tree = RTree::bulk_load_str(ds);
 
   std::vector<std::pair<PointId, double>> knn;
   for (std::size_t i = 0; i < n; ++i) {

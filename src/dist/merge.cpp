@@ -246,10 +246,12 @@ DistClustering merge_local_clusterings(
   // (local, remote) pairs within eps, and the halo is a small delta-fraction
   // of the data, so this is far cheaper than full neighborhood re-queries.
   const std::size_t n_total = gids.size();
-  RTree halo_tree(dim);
+  std::vector<std::pair<const double*, PointId>> halo_items;
+  halo_items.reserve(n_total - n_local);
   for (std::size_t h = n_local; h < n_total; ++h)
-    halo_tree.insert(combined_coords.data() + h * dim,
-                     static_cast<PointId>(h));
+    halo_items.emplace_back(combined_coords.data() + h * dim,
+                            static_cast<PointId>(h));
+  const RTree halo_tree = RTree::bulk_load_str(dim, std::move(halo_items));
   for (std::size_t i = 0; i < n_local; ++i) {
     const std::span<const double> pt{combined_coords.data() + i * dim, dim};
     bool boundary = false;

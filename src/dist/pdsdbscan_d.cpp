@@ -30,9 +30,7 @@ ClusteringResult pdsdbscan_d(const Dataset& global, const DbscanParams& params,
     const std::size_t m = ds.size();
 
     double t0 = comm.vtime();
-    RTree tree(ds.dim());
-    for (std::size_t i = 0; i < m; ++i)
-      tree.insert(ds.ptr(static_cast<PointId>(i)), static_cast<PointId>(i));
+    const RTree tree = RTree::bulk_load_str(ds);
     const double t_build = comm.vtime() - t0;
     comm.barrier();
 

@@ -1,5 +1,6 @@
 #include "index/center_cells.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -19,42 +20,24 @@ CenterCells::CenterCells(std::size_t dim, double eps)
 void CenterCells::grid_points(const Dataset& ds) {
   ds_ = &ds;
   const std::size_t n = ds.size();
-  // Distinct cells in first-seen order through an open-addressing table
-  // (a power of two in size, at most half full); consecutive points in one
-  // cell skip the lookup.
+  // Distinct cells in first-seen order; consecutive points in one cell skip
+  // the lookup.
   std::vector<Key> seen;
-  std::vector<std::uint32_t> slots(64, kNone);
-  const auto hash = [](const Key& k) {
-    std::uint64_t h = 0;
-    for (std::int64_t v : k)
-      h = (h ^ static_cast<std::uint64_t>(v)) * 0x9e3779b97f4a7c15ULL;
-    return static_cast<std::size_t>(h ^ (h >> 32));
-  };
-  const auto place = [&](std::uint32_t c) {
-    const std::size_t mask = slots.size() - 1;
-    std::size_t i = hash(seen[c]) & mask;
-    while (slots[i] != kNone) i = (i + 1) & mask;
-    slots[i] = c;
+  KeySlots slots;
+  const auto key_at = [&seen](std::uint32_t c) -> const Key& {
+    return seen[c];
   };
   point_cell_.resize(n);
   std::uint32_t prev = kNone;
   for (std::size_t p = 0; p < n; ++p) {
     const Key key = key_of(ds.ptr(static_cast<PointId>(p)));
     if (prev == kNone || seen[prev] != key) {
-      const std::size_t mask = slots.size() - 1;
-      std::size_t i = hash(key) & mask;
-      while (slots[i] != kNone && seen[slots[i]] != key) i = (i + 1) & mask;
-      if (slots[i] == kNone) {
+      const std::size_t i = slots.locate(key, key_at);
+      prev = slots.at(i);
+      if (prev == kNone) {
         prev = static_cast<std::uint32_t>(seen.size());
         seen.push_back(key);
-        if (2 * seen.size() > slots.size()) {
-          slots.assign(2 * slots.size(), kNone);
-          for (std::uint32_t c = 0; c < seen.size(); ++c) place(c);
-        } else {
-          slots[i] = prev;
-        }
-      } else {
-        prev = slots[i];
+        slots.fill(i, prev, key_at);
       }
     }
     point_cell_[p] = prev;
@@ -160,22 +143,74 @@ void CenterCells::build_rows() {
   cell_row_ = std::move(cell_row);
 }
 
+void CenterCells::insert(const double* x, std::uint32_t id) {
+  const Key key = key_of(x);
+  const auto key_at = online_key_at();
+  const std::size_t slot = slots_.locate(key, key_at);
+  std::uint32_t c = slots_.at(slot);
+  if (c == kNone) {
+    if (free_cells_.empty()) {
+      c = static_cast<std::uint32_t>(cells_.size());
+      cells_.emplace_back();
+    } else {
+      c = free_cells_.back();
+      free_cells_.pop_back();
+    }
+    cells_[c].key = key;
+    slots_.fill(slot, c, key_at);
+  }
+  OnlineCell& cell = cells_[c];
+  cell.ids.push_back(id);
+  cell.coords.insert(cell.coords.end(), x, x + dim_);
+  if (id >= cell_of_.size()) cell_of_.resize(std::size_t{id} + 1, kNone);
+  cell_of_[id] = c;
+  ++online_centers_;
+}
+
+void CenterCells::erase(std::uint32_t id) {
+  const std::uint32_t c = cell_of_[id];
+  cell_of_[id] = kNone;
+  --online_centers_;
+  OnlineCell& cell = cells_[c];
+  const auto i = static_cast<std::size_t>(
+      std::find(cell.ids.begin(), cell.ids.end(), id) - cell.ids.begin());
+  cell.ids.erase(cell.ids.begin() + static_cast<std::ptrdiff_t>(i));
+  cell.coords.erase(
+      cell.coords.begin() + static_cast<std::ptrdiff_t>(i * dim_),
+      cell.coords.begin() + static_cast<std::ptrdiff_t>((i + 1) * dim_));
+  if (!cell.ids.empty()) return;
+  const auto key_at = online_key_at();
+  slots_.clear(slots_.locate(cell.key, key_at), key_at);
+  free_cells_.push_back(c);
+}
+
+std::size_t CenterCells::KeySlots::memory_bytes() const noexcept {
+  return vector_bytes(slots_);
+}
+
 std::size_t CenterCells::memory_bytes() const noexcept {
+  std::size_t online = vector_bytes(cells_) + vector_bytes(free_cells_) +
+                       slots_.memory_bytes() + vector_bytes(cell_of_);
+  for (const OnlineCell& cell : cells_)
+    online += vector_bytes(cell.ids) + vector_bytes(cell.coords);
   return vector_bytes(keys_) + vector_bytes(cell_row_) + vector_bytes(rows_) +
          vector_bytes(row_off_) + vector_bytes(point_cell_) +
          vector_bytes(nbr_off_) + vector_bytes(nbr_) + vector_bytes(head_) +
          vector_bytes(tail_) + vector_bytes(next_) + vector_bytes(bids_) +
          vector_bytes(bpts_) + vector_bytes(cell_off_) + vector_bytes(ids_) +
-         vector_bytes(coords_);
+         vector_bytes(coords_) + online;
 }
 
 void CenterCells::check_invariants() const {
   const auto fail = [](const char* what) {
     throw std::logic_error(std::string("CenterCells: ") + what);
   };
-  if (cell_off_.size() != keys_.size() + 1 ||
-      cell_off_.back() != ids_.size() || coords_.size() != ids_.size() * dim_ ||
-      cell_row_.size() != keys_.size() || row_off_.size() != rows_.size() + 1)
+  // A frozen index has cell offsets; an online one has none.
+  if (!cell_off_.empty() &&
+      (cell_off_.size() != keys_.size() + 1 ||
+       cell_off_.back() != ids_.size() ||
+       coords_.size() != ids_.size() * dim_ ||
+       cell_row_.size() != keys_.size() || row_off_.size() != rows_.size() + 1))
     fail("arrays out of shape");
   for (std::size_t c = 0; c < keys_.size(); ++c) {
     if (c > 0 && !(keys_[c - 1] < keys_[c]))
@@ -194,6 +229,31 @@ void CenterCells::check_invariants() const {
         fail("centre outside its cell");
     }
   }
+
+  const auto key_at = online_key_at();
+  std::vector<std::uint8_t> is_free(cells_.size(), 0);
+  for (const std::uint32_t c : free_cells_) is_free[c] = 1;
+  std::size_t centers = 0;
+  for (std::uint32_t c = 0; c < cells_.size(); ++c) {
+    const OnlineCell& cell = cells_[c];
+    if (is_free[c]) {
+      if (!cell.ids.empty()) fail("free online cell holds centres");
+      continue;
+    }
+    if (cell.ids.empty()) fail("empty online cell kept");
+    if (slots_.at(slots_.locate(cell.key, key_at)) != c)
+      fail("online cell not found under its key");
+    if (cell.coords.size() != cell.ids.size() * dim_)
+      fail("online cell arrays out of shape");
+    for (std::size_t i = 0; i < cell.ids.size(); ++i) {
+      if (cell.ids[i] >= cell_of_.size() || cell_of_[cell.ids[i]] != c)
+        fail("centre id not mapped to its online cell");
+      if (key_of(&cell.coords[i * dim_]) != cell.key)
+        fail("centre outside its online cell");
+    }
+    centers += cell.ids.size();
+  }
+  if (centers != online_centers_) fail("online centre count drift");
 }
 
 }  // namespace udb

@@ -57,9 +57,7 @@ struct RTree::Node {
   Box mbr;
   bool is_leaf;
   // Leaf payload: a dim-major SoA coordinate block (coordinate k of entry i
-  // at block[k * stride + i], stride = block.size() / dim) plus a parallel
-  // id array. ids.size() is the live entry count; the block may have spare
-  // capacity (fixed-stride incremental leaves).
+  // at block[k * ids.size() + i]) plus a parallel id array.
   std::vector<double> block;
   std::vector<PointId> ids;
   // Internal payload.
@@ -68,32 +66,16 @@ struct RTree::Node {
   [[nodiscard]] std::size_t entry_count() const noexcept {
     return is_leaf ? ids.size() : children.size();
   }
-  [[nodiscard]] std::size_t stride(std::size_t dim) const noexcept {
-    return block.size() / dim;
-  }
-  void set_coords(std::size_t i, const double* pt, std::size_t dim) noexcept {
-    const std::size_t s = stride(dim);
-    for (std::size_t k = 0; k < dim; ++k) block[k * s + i] = pt[k];
-  }
   void get_coords(std::size_t i, std::size_t dim, double* out) const noexcept {
-    const std::size_t s = stride(dim);
-    for (std::size_t k = 0; k < dim; ++k) out[k] = block[k * s + i];
+    for (std::size_t k = 0; k < dim; ++k) out[k] = block[k * ids.size() + i];
   }
 };
 
-std::unique_ptr<RTree::Node> RTree::make_leaf() const {
-  auto leaf = std::make_unique<Node>(dim_, /*leaf=*/true);
-  const std::size_t cap = static_cast<std::size_t>(cfg_.max_entries) + 1;
-  leaf->block.resize(cap * dim_);
-  leaf->ids.reserve(cap);
-  return leaf;
-}
-
 RTree::RTree(std::size_t dim, Config cfg) : dim_(dim), cfg_(cfg) {
   if (dim_ == 0) throw std::invalid_argument("RTree: dim must be > 0");
-  if (cfg_.min_entries < 2 || cfg_.max_entries < 2 * cfg_.min_entries)
-    throw std::invalid_argument("RTree: need max_entries >= 2*min_entries");
-  root_ = make_leaf();
+  if (cfg_.max_entries < 2)
+    throw std::invalid_argument("RTree: need max_entries >= 2");
+  root_ = std::make_unique<Node>(dim_, /*leaf=*/true);
 }
 
 RTree::~RTree() = default;
@@ -106,7 +88,6 @@ RTree::RTree(RTree&& other) noexcept
       cfg_(other.cfg_),
       root_(std::move(other.root_)),
       count_(other.count_),
-      enforce_min_fill_(other.enforce_min_fill_),
       dist_evals_(other.dist_evals_.load(std::memory_order_relaxed)),
       node_visits_(other.node_visits_.load(std::memory_order_relaxed)) {
   other.count_ = 0;
@@ -118,7 +99,6 @@ RTree& RTree::operator=(RTree&& other) noexcept {
     cfg_ = other.cfg_;
     root_ = std::move(other.root_);
     count_ = other.count_;
-    enforce_min_fill_ = other.enforce_min_fill_;
     dist_evals_.store(other.dist_evals_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
     node_visits_.store(other.node_visits_.load(std::memory_order_relaxed),
@@ -130,236 +110,6 @@ RTree& RTree::operator=(RTree&& other) noexcept {
 
 const Box& RTree::root_mbr() const { return root_->mbr; }
 
-void RTree::insert(const double* pt, PointId id) {
-  std::unique_ptr<Node> split;
-  insert_recursive(*root_, pt, id, split);
-  if (split) {
-    // Root split: grow the tree by one level.
-    auto new_root = std::make_unique<Node>(dim_, /*leaf=*/false);
-    new_root->mbr = root_->mbr;
-    new_root->mbr.expand(split->mbr);
-    new_root->children.push_back(std::move(root_));
-    new_root->children.push_back(std::move(split));
-    root_ = std::move(new_root);
-  }
-  ++count_;
-}
-
-void RTree::insert_recursive(Node& node, const double* pt, PointId id,
-                             std::unique_ptr<Node>& split_out) {
-  const std::span<const double> p{pt, dim_};
-  node.mbr.expand(p);
-  if (node.is_leaf) {
-    const std::size_t cnt = node.ids.size();
-    if (node.stride(dim_) <= cnt) {
-      // A bulk-loaded leaf's block is tight; widen it to the incremental
-      // leaves' fixed stride before appending.
-      const std::size_t old_stride = node.stride(dim_);
-      const std::size_t cap = static_cast<std::size_t>(cfg_.max_entries) + 1;
-      std::vector<double> wide(std::max(cap, cnt + 1) * dim_);
-      const std::size_t new_stride = wide.size() / dim_;
-      for (std::size_t k = 0; k < dim_; ++k)
-        for (std::size_t i = 0; i < cnt; ++i)
-          wide[k * new_stride + i] = node.block[k * old_stride + i];
-      node.block = std::move(wide);
-    }
-    node.set_coords(cnt, pt, dim_);
-    node.ids.push_back(id);
-    if (node.entry_count() > cfg_.max_entries) split_leaf(node, split_out);
-    return;
-  }
-
-  // Guttman ChooseSubtree: least enlargement, ties by smaller margin.
-  const Box pbox = Box::from_point(p);
-  std::size_t best = 0;
-  double best_enl = std::numeric_limits<double>::infinity();
-  double best_margin = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < node.children.size(); ++i) {
-    const Box& b = node.children[i]->mbr;
-    const double enl = b.enlargement_margin(pbox);
-    const double mar = b.margin();
-    if (enl < best_enl || (enl == best_enl && mar < best_margin)) {
-      best = i;
-      best_enl = enl;
-      best_margin = mar;
-    }
-  }
-
-  std::unique_ptr<Node> child_split;
-  insert_recursive(*node.children[best], pt, id, child_split);
-  if (child_split) {
-    node.children.push_back(std::move(child_split));
-    if (node.entry_count() > cfg_.max_entries) split_internal(node, split_out);
-  }
-}
-
-namespace {
-
-// Quadratic PickSeeds over a set of boxes: the pair whose combined box wastes
-// the most margin.
-std::pair<std::size_t, std::size_t> pick_seeds(const std::vector<Box>& boxes) {
-  std::size_t s1 = 0, s2 = 1;
-  double worst = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < boxes.size(); ++i) {
-    for (std::size_t j = i + 1; j < boxes.size(); ++j) {
-      Box combined = boxes[i];
-      combined.expand(boxes[j]);
-      const double waste =
-          combined.margin() - boxes[i].margin() - boxes[j].margin();
-      if (waste > worst) {
-        worst = waste;
-        s1 = i;
-        s2 = j;
-      }
-    }
-  }
-  return {s1, s2};
-}
-
-}  // namespace
-
-void RTree::split_leaf(Node& node, std::unique_ptr<Node>& out) {
-  const std::size_t n = node.ids.size();
-  const std::size_t take_stride = node.stride(dim_);
-  auto take_block = std::move(node.block);
-  auto take_ids = std::move(node.ids);
-
-  std::vector<double> tmp(dim_);
-  std::vector<Box> boxes;
-  boxes.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = 0; k < dim_; ++k)
-      tmp[k] = take_block[k * take_stride + i];
-    boxes.push_back(Box::from_point(tmp));
-  }
-
-  auto [s1, s2] = pick_seeds(boxes);
-
-  const std::size_t cap = static_cast<std::size_t>(cfg_.max_entries) + 1;
-  node.block.assign(cap * dim_, 0.0);
-  node.ids.clear();
-  node.ids.reserve(cap);
-  node.mbr = Box(dim_);
-  out = make_leaf();
-
-  Box b1(dim_), b2(dim_);
-  auto add_to = [&](Node& dst, Box& dbox, std::size_t i) {
-    const std::size_t idx = dst.ids.size();
-    const std::size_t dst_stride = dst.stride(dim_);
-    for (std::size_t k = 0; k < dim_; ++k)
-      dst.block[k * dst_stride + idx] = take_block[k * take_stride + i];
-    dst.ids.push_back(take_ids[i]);
-    dbox.expand(boxes[i]);
-    dst.mbr = dbox;
-  };
-  add_to(node, b1, s1);
-  add_to(*out, b2, s2);
-
-  std::vector<bool> assigned(n, false);
-  assigned[s1] = assigned[s2] = true;
-  std::size_t remaining = n - 2;
-
-  while (remaining > 0) {
-    // If one group must take all remaining entries to reach min_entries, do
-    // it wholesale.
-    if (node.entry_count() + remaining == cfg_.min_entries) {
-      for (std::size_t i = 0; i < n; ++i)
-        if (!assigned[i]) add_to(node, b1, i);
-      break;
-    }
-    if (out->entry_count() + remaining == cfg_.min_entries) {
-      for (std::size_t i = 0; i < n; ++i)
-        if (!assigned[i]) add_to(*out, b2, i);
-      break;
-    }
-    // PickNext: entry with max preference difference between the groups.
-    std::size_t pick = 0;
-    double best_diff = -1.0;
-    double d1_pick = 0.0, d2_pick = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (assigned[i]) continue;
-      const double d1 = b1.enlargement_margin(boxes[i]);
-      const double d2 = b2.enlargement_margin(boxes[i]);
-      const double diff = std::abs(d1 - d2);
-      if (diff > best_diff) {
-        best_diff = diff;
-        pick = i;
-        d1_pick = d1;
-        d2_pick = d2;
-      }
-    }
-    assigned[pick] = true;
-    --remaining;
-    if (d1_pick < d2_pick ||
-        (d1_pick == d2_pick && node.entry_count() <= out->entry_count()))
-      add_to(node, b1, pick);
-    else
-      add_to(*out, b2, pick);
-  }
-}
-
-void RTree::split_internal(Node& node, std::unique_ptr<Node>& out) {
-  const std::size_t n = node.children.size();
-  std::vector<Box> boxes;
-  boxes.reserve(n);
-  for (const auto& c : node.children) boxes.push_back(c->mbr);
-
-  auto [s1, s2] = pick_seeds(boxes);
-
-  auto take = std::move(node.children);
-  node.children.clear();
-  node.mbr = Box(dim_);
-  out = std::make_unique<Node>(dim_, /*leaf=*/false);
-
-  Box b1(dim_), b2(dim_);
-  auto add_to = [&](Node& dst, Box& dbox, std::size_t i) {
-    dst.children.push_back(std::move(take[i]));
-    dbox.expand(boxes[i]);
-    dst.mbr = dbox;
-  };
-  add_to(node, b1, s1);
-  add_to(*out, b2, s2);
-
-  std::vector<bool> assigned(n, false);
-  assigned[s1] = assigned[s2] = true;
-  std::size_t remaining = n - 2;
-
-  while (remaining > 0) {
-    if (node.entry_count() + remaining == cfg_.min_entries) {
-      for (std::size_t i = 0; i < n; ++i)
-        if (!assigned[i]) add_to(node, b1, i);
-      break;
-    }
-    if (out->entry_count() + remaining == cfg_.min_entries) {
-      for (std::size_t i = 0; i < n; ++i)
-        if (!assigned[i]) add_to(*out, b2, i);
-      break;
-    }
-    std::size_t pick = 0;
-    double best_diff = -1.0;
-    double d1_pick = 0.0, d2_pick = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (assigned[i]) continue;
-      const double d1 = b1.enlargement_margin(boxes[i]);
-      const double d2 = b2.enlargement_margin(boxes[i]);
-      const double diff = std::abs(d1 - d2);
-      if (diff > best_diff) {
-        best_diff = diff;
-        pick = i;
-        d1_pick = d1;
-        d2_pick = d2;
-      }
-    }
-    assigned[pick] = true;
-    --remaining;
-    if (d1_pick < d2_pick ||
-        (d1_pick == d2_pick && node.entry_count() <= out->entry_count()))
-      add_to(node, b1, pick);
-    else
-      add_to(*out, b2, pick);
-  }
-}
-
 void RTree::query_ball(std::span<const double> center, double radius,
                        std::vector<PointId>& out, bool strict) const {
   visit_ball(
@@ -369,19 +119,6 @@ void RTree::query_ball(std::span<const double> center, double radius,
         return true;
       },
       strict);
-}
-
-PointId RTree::first_within(std::span<const double> center, double radius,
-                            bool strict) const {
-  PointId found = kInvalidPoint;
-  visit_ball(
-      center, radius,
-      [&found](PointId id, double) {
-        found = id;
-        return false;  // stop at first hit
-      },
-      strict);
-  return found;
 }
 
 namespace {
@@ -431,8 +168,8 @@ void RTree::visit_ball(std::span<const double> center, double radius,
         heapbuf.resize(cnt);
         buf = heapbuf.data();
       }
-      sq_dist_block_soa(center.data(), node->block.data(), cnt,
-                        node->stride(dim_), dim_, buf);
+      sq_dist_block_soa(center.data(), node->block.data(), cnt, cnt, dim_,
+                        buf);
       evals.local += cnt;
       for (std::size_t i = 0; i < cnt; ++i) {
         const bool in = strict ? (buf[i] < r2) : (buf[i] <= r2);
@@ -453,8 +190,7 @@ RTree RTree::bulk_load_str(
   str_tile(items.begin(), items.end(), 0, dim, cap,
            [](const auto& item, std::size_t axis) { return item.first[axis]; });
 
-  // Pack leaves in tiled order. Their SoA blocks are allocated tight
-  // (stride == leaf entry count); a later insert widens the block first.
+  // Pack leaves in tiled order, each SoA block exactly its entries.
   std::vector<std::unique_ptr<Node>> level;
   for (std::size_t i = 0; i < items.size(); i += cap) {
     auto leaf = std::make_unique<Node>(dim, /*leaf=*/true);
@@ -488,8 +224,16 @@ RTree RTree::bulk_load_str(
   }
   tree.root_ = std::move(level.front());
   tree.count_ = items.size();
-  tree.enforce_min_fill_ = false;
   return tree;
+}
+
+RTree RTree::bulk_load_str(const Dataset& ds) {
+  std::vector<std::pair<const double*, PointId>> items;
+  items.reserve(ds.size());
+  for (std::size_t i = 0; i < ds.size(); ++i)
+    items.emplace_back(ds.ptr(static_cast<PointId>(i)),
+                       static_cast<PointId>(i));
+  return bulk_load_str(ds.dim(), std::move(items));
 }
 
 void RTree::query_knn(std::span<const double> center, std::size_t k,
@@ -533,8 +277,8 @@ void RTree::query_knn(std::span<const double> center, std::size_t k,
         heapbuf.resize(cnt);
         buf = heapbuf.data();
       }
-      sq_dist_block_soa(center.data(), node->block.data(), cnt,
-                        node->stride(dim_), dim_, buf);
+      sq_dist_block_soa(center.data(), node->block.data(), cnt, cnt, dim_,
+                        buf);
       evals.local += cnt;
       for (std::size_t i = 0; i < cnt; ++i) {
         const double d2 = buf[i];
@@ -606,16 +350,12 @@ void RTree::check_invariants() const {
     auto [node, is_root, depth] = stack.back();
     stack.pop_back();
 
-    const std::size_t cnt = node->entry_count();
     // STR packing fills nodes to max_entries but may leave one short tail
-    // node per level, so the min-fill bound only applies to incrementally
-    // built trees.
-    if (!is_root && enforce_min_fill_ && cnt < cfg_.min_entries)
-      throw std::logic_error("RTree: node underfull");
-    if (!is_root && cnt > cfg_.max_entries)
-      throw std::logic_error("RTree: entry count out of bounds");
-    if (is_root && cnt > cfg_.max_entries)
-      throw std::logic_error("RTree: root overfull");
+    // node per level.
+    if (node->entry_count() > cfg_.max_entries)
+      throw std::logic_error("RTree: node overfull");
+    if (!is_root && node->entry_count() == 0)
+      throw std::logic_error("RTree: empty non-root node");
 
     if (node->is_leaf) {
       if (!leaf_depth_set) {
@@ -624,9 +364,8 @@ void RTree::check_invariants() const {
       } else if (leaf_depth != depth) {
         throw std::logic_error("RTree: leaves at different depths");
       }
-      if (node->block.size() % dim_ != 0 ||
-          node->stride(dim_) < node->ids.size())
-        throw std::logic_error("RTree: leaf SoA block smaller than id array");
+      if (node->block.size() != node->ids.size() * dim_)
+        throw std::logic_error("RTree: leaf SoA block does not fit its ids");
       for (std::size_t i = 0; i < node->ids.size(); ++i) {
         node->get_coords(i, dim_, tmp.data());
         if (!node->mbr.contains(tmp))

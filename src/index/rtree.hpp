@@ -1,26 +1,23 @@
-// A d-dimensional R-tree (Guttman 1984) with quadratic split.
+// A d-dimensional R-tree, built once by Sort-Tile-Recursive packing
+// (Leutenegger et al.) over points known up front.
 //
 // This single index class serves these roles in the reproduction:
-//   * the classical DBSCAN baseline (R-DBSCAN) indexes all n points in one
-//     tree;
-//   * the incremental engine indexes its MC centres, and k-dist and the
-//     distributed merge index their points (the µR-tree's own levels are
-//     the centre cell index, index/center_cells.hpp, and a flat member
-//     store with the same SoA leaves, core/murtree.hpp).
+//   * the classical DBSCAN baselines (R-DBSCAN, QIDBSCAN, sampled DBSCAN and
+//     PDSDBSCAN-D) index their points in one tree;
+//   * k-dist and the distributed merge's halo index their points.
+// The µR-tree's own levels are the centre cell index
+// (index/center_cells.hpp), which also holds the incremental engine's
+// centres, and a flat member store with the same SoA leaves
+// (core/murtree.hpp).
 //
 // Leaves store their entries as structure-of-arrays coordinate blocks:
 // a leaf-local packed `double` buffer laid out dim-major (coordinate k of
-// entry i lives at block[k * stride + i]) with a parallel PointId array.
+// entry i lives at block[k * count + i]) with a parallel PointId array.
 // Queries hand a whole leaf to the runtime-dispatched SIMD distance kernel
 // (common/simd.hpp, docs/KERNELS.md) — each vector lane is one point and
 // every per-dimension load is unit-stride, so the hot eps-scan needs no
-// gathers in any dimensionality. Coordinates are copied into the leaf at
-// insert/bulk-load time; the `pt` pointers handed to insert() only need to
-// stay valid for the duration of the call.
-//
-// Enlargement heuristics use margin (perimeter) rather than volume: with
-// d up to 74, products of side lengths over/underflow doubles, while sums
-// stay well behaved and preserve the heuristic's intent.
+// gathers in any dimensionality. Coordinates are copied into the leaves, so
+// the points handed to bulk_load_str() only need to outlive the call.
 
 #pragma once
 
@@ -39,27 +36,19 @@ namespace udb {
 class RTree {
  public:
   struct Config {
-    std::uint32_t max_entries = 16;  // Guttman's M
-    std::uint32_t min_entries = 6;   // Guttman's m (~40% of M)
+    std::uint32_t max_entries = 16;  // entries per node, >= 2
   };
 
-  explicit RTree(std::size_t dim) : RTree(dim, Config()) {}
-  RTree(std::size_t dim, Config cfg);
   ~RTree();
   RTree(RTree&&) noexcept;
   RTree& operator=(RTree&&) noexcept;
   RTree(const RTree&) = delete;
   RTree& operator=(const RTree&) = delete;
 
-  // Inserts a point with the given id. The coordinates are copied into the
-  // target leaf's SoA block, so `pt` only needs to stay valid for this call.
-  void insert(const double* pt, PointId id);
-
-  // Sort-Tile-Recursive (STR, Leutenegger et al.) bulk load: packs the items
-  // into fully-filled leaves tiled along successive axes (index/str.hpp),
-  // then packs parent levels the same way. Produces better-clustered MBRs
-  // than incremental insertion and builds in O(n log n); for callers that
-  // have all points up front.
+  // The one way to build a tree. STR packing: sorts the items into
+  // fully-filled leaves tiled along successive axes (index/str.hpp), then
+  // packs parent levels the same way, in O(n log n). Throws
+  // std::invalid_argument when dim is 0 or max_entries is below 2.
   static RTree bulk_load_str(
       std::size_t dim, std::vector<std::pair<const double*, PointId>> items) {
     return bulk_load_str(dim, std::move(items), Config());
@@ -67,6 +56,8 @@ class RTree {
   static RTree bulk_load_str(std::size_t dim,
                              std::vector<std::pair<const double*, PointId>> items,
                              Config cfg);
+  // Every point of `ds`, under its index.
+  static RTree bulk_load_str(const Dataset& ds);
 
   // k nearest neighbors of `center` by Euclidean distance (best-first branch
   // and bound). Returns up to k (id, squared distance) pairs ordered nearest
@@ -79,11 +70,6 @@ class RTree {
   // (the paper's 3*eps reachability test). Appends to `out`.
   void query_ball(std::span<const double> center, double radius,
                   std::vector<PointId>& out, bool strict = true) const;
-
-  // Returns the id of some point within `radius` of `center`, or
-  // kInvalidPoint if none exists. Early-exits on first hit.
-  [[nodiscard]] PointId first_within(std::span<const double> center,
-                                     double radius, bool strict = true) const;
 
   // Visits every point within radius; used where the caller wants to filter
   // by id or stop early with custom logic. Visitor returns false to stop.
@@ -126,28 +112,19 @@ class RTree {
   [[nodiscard]] std::size_t memory_bytes() const;
 
   // Test hook: verifies the structural invariants (MBR containment, entry
-  // count bounds, consistent leaf depth). Throws std::logic_error on
-  // violation.
+  // count bounds, consistent leaf depth, tight leaf blocks). Throws
+  // std::logic_error on violation.
   void check_invariants() const;
 
  private:
   struct Node;
 
-  // Allocates a leaf with a fixed-capacity SoA block of max_entries+1 points
-  // (one slot of overflow headroom before the split triggers), so the block's
-  // stride stays constant while entries accumulate.
-  [[nodiscard]] std::unique_ptr<Node> make_leaf() const;
-
-  void insert_recursive(Node& node, const double* pt, PointId id,
-                        std::unique_ptr<Node>& split_out);
-  void split_leaf(Node& node, std::unique_ptr<Node>& out);
-  void split_internal(Node& node, std::unique_ptr<Node>& out);
+  RTree(std::size_t dim, Config cfg);
 
   std::size_t dim_;
   Config cfg_;
   std::unique_ptr<Node> root_;
   std::size_t count_ = 0;
-  bool enforce_min_fill_ = true;  // false for STR bulk-loaded trees
   mutable std::atomic<std::uint64_t> dist_evals_{0};
   mutable std::atomic<std::uint64_t> node_visits_{0};
 };

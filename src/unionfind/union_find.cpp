@@ -1,7 +1,5 @@
 #include "unionfind/union_find.hpp"
 
-#include <unordered_map>
-
 namespace udb {
 
 std::size_t UnionFind::count_components() const {
@@ -12,17 +10,14 @@ std::size_t UnionFind::count_components() const {
   return count;
 }
 
-std::size_t UnionFind::component_ids(std::vector<std::uint32_t>& out) {
-  out.assign(parent_.size(), 0);
-  std::unordered_map<PointId, std::uint32_t> root_to_id;
-  root_to_id.reserve(64);
+std::size_t UnionFind::component_ids(std::vector<std::uint32_t>& out) const {
+  out.resize(parent_.size());
+  std::uint32_t k = 0;
   for (std::size_t i = 0; i < parent_.size(); ++i) {
-    const PointId root = find(static_cast<PointId>(i));
-    auto [it, inserted] =
-        root_to_id.try_emplace(root, static_cast<std::uint32_t>(root_to_id.size()));
-    out[i] = it->second;
+    const PointId p = parent_[i].load(std::memory_order_relaxed);
+    out[i] = p == static_cast<PointId>(i) ? k++ : out[p];
   }
-  return root_to_id.size();
+  return k;
 }
 
 }  // namespace udb

@@ -11,7 +11,10 @@
 //   * links always point from the larger root index to the smaller, so every
 //     parent chain is strictly decreasing and the final root of a component
 //     is its minimum element — the resulting partition AND representatives
-//     are deterministic regardless of thread interleaving;
+//     are deterministic regardless of thread interleaving. Path halving only
+//     re-points a node at an ancestor, so parent(i) <= i holds at all times
+//     (component_ids() labels every element in one forward pass because of
+//     it);
 //   * union_sets retries a single CAS on the losing root (lock-free);
 //   * find performs path halving with benign CAS shortcuts (thread-safe);
 //     the const overload is a pure read walk (wait-free, no compression),
@@ -68,6 +71,11 @@ class UnionFind {
     return x;
   }
 
+  // x's current parent; parent(x) <= x always (see the header comment).
+  [[nodiscard]] PointId parent(PointId x) const noexcept {
+    return parent_[x].load(std::memory_order_acquire);
+  }
+
   // Unites the sets of a and b; returns the surviving root (the smaller
   // index). No-op (returns the common root) if already united. Lock-free:
   // concurrent calls linearize on the CAS of the losing root.
@@ -96,9 +104,11 @@ class UnionFind {
   // Number of distinct sets among all elements.
   [[nodiscard]] std::size_t count_components() const;
 
-  // Compacts roots into consecutive ids 0..k-1; out[i] is the component id of
-  // element i. Returns k.
-  std::size_t component_ids(std::vector<std::uint32_t>& out);
+  // Compacts roots into consecutive ids 0..k-1 in order of first appearance;
+  // out[i] is the component id of element i. Returns k. One forward pass at
+  // quiescence: parent(i) <= i, so i's parent is already labelled, and a
+  // root, its component's minimum, is its component's first element.
+  std::size_t component_ids(std::vector<std::uint32_t>& out) const;
 
  private:
   std::vector<std::atomic<PointId>> parent_;

@@ -103,24 +103,6 @@ TEST(Box, OverlapsBallBoundaryInclusive) {
   EXPECT_FALSE(b.overlaps_ball(std::vector<double>{2.0, 0.0}, 1.999999));
 }
 
-TEST(Box, EnlargementMarginZeroWhenContained) {
-  Box a = Box::from_ball(std::vector<double>{0.0, 0.0}, 2.0);
-  Box inner = Box::from_ball(std::vector<double>{0.0, 0.0}, 1.0);
-  EXPECT_DOUBLE_EQ(a.enlargement_margin(inner), 0.0);
-}
-
-TEST(Box, EnlargementMarginPositiveWhenGrowing) {
-  Box a = Box::from_point(std::vector<double>{0.0, 0.0});
-  Box far = Box::from_point(std::vector<double>{3.0, 4.0});
-  EXPECT_DOUBLE_EQ(a.enlargement_margin(far), 7.0);
-}
-
-TEST(Box, MarginIsSumOfSides) {
-  Box b = Box::from_point(std::vector<double>{0.0, 0.0});
-  b.expand(std::span<const double>(std::vector<double>{2.0, 3.0}));
-  EXPECT_DOUBLE_EQ(b.margin(), 5.0);
-}
-
 TEST(Box, HighDimensionalRoundTrip) {
   const std::size_t d = 74;
   std::vector<double> p(d, 1.5);

@@ -293,6 +293,38 @@ TEST(Incremental, MetricsFlowToRegistry) {
   EXPECT_EQ(snap.hist(obs::Hist::kIncBlastRadius).count, 50u);
 }
 
+// Past three axes the centre index grids only the first three, so the other
+// eleven are left to the distance filter. Erases empty whole MCs (they leave
+// the centre index, and their ids are reused), and inserts re-found them.
+TEST(Incremental, MatchesBatchUnderChurnInHighDimensions) {
+  const Dataset pool = gen_blobs(900, 14, 3, 12.0, 1.0, 0.1, 5);
+  const DbscanParams prm{4.0, 4};
+  for (const std::uint64_t seed : {3ULL, 11ULL}) {
+    Rng rng(seed);
+    IncrementalMuDbscan eng(14, prm);
+    std::vector<PointId> ids;
+    for (int op = 0; op < 700; ++op) {
+      if (!ids.empty() && rng.next_double() < 0.4) {
+        const std::size_t k = rng.uniform_index(ids.size());
+        ASSERT_TRUE(eng.erase(ids[k]));
+        ids[k] = ids.back();
+        ids.pop_back();
+      } else {
+        ids.push_back(eng.insert(
+            pool.point(static_cast<PointId>(rng.uniform_index(pool.size())))));
+      }
+      if (op % 100 == 99) {
+        ASSERT_NO_THROW(eng.check_invariants()) << "op " << op;
+        expect_matches_batch(eng, 1,
+                             "seed " + std::to_string(seed) + " op " +
+                                 std::to_string(op));
+      }
+    }
+    EXPECT_GT(eng.num_core(), 0u);
+    EXPECT_LT(eng.num_core(), eng.size());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The engine as the streaming API: ingest in waves, read the exact result at
 // any point, and result() always reflects the last mutation.

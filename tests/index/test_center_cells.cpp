@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 
@@ -243,6 +244,126 @@ TEST(CenterCells, EmptyIndexAnswersNothing) {
   std::size_t k = 0;
   cells.visit_ball(q, 5.0, [&](std::uint32_t, double) { ++k; });
   EXPECT_EQ(k, 0u);
+}
+
+// The online index (the incremental engine's centres) against a linear scan
+// of the live centres, over a seeded history of inserts and erases. The
+// points sit on a lattice of step eps / 2, so pairs exactly eps and exactly
+// 2 * eps apart are common; the pool also holds exact duplicates, +-0.0
+// twins and +-1e300 coordinates whose keys saturate. Erased ids are reused.
+TEST(CenterCells, OnlineProbesMatchLinearScanOverInsertEraseHistories) {
+  const double eps = 1.0;
+  for (std::size_t dim : {1u, 2u, 3u, 14u}) {
+    SCOPED_TRACE("d=" + std::to_string(dim));
+    Dataset pool = lattice(dim, 240, dim > 3 ? 3 : 7, 0.5, true, 40 + dim);
+    for (PointId p = 0; p < 12; ++p) {  // +-0.0 twins of the first points
+      std::vector<double> twin(pool.ptr(p), pool.ptr(p) + dim);
+      for (double& v : twin)
+        if (v == 0.0) v = -v;
+      pool.push_back(twin);
+    }
+    const auto key_of_pt = [&](const double* x) {
+      return key_of(x, dim, eps);
+    };
+    CenterCells cells(dim, eps);
+    std::vector<std::vector<double>> at;       // per id, while live
+    std::vector<std::uint64_t> seq;            // per id, insertion number
+    std::vector<std::uint32_t> live, free_ids;
+    std::uint64_t inserted = 0;
+    Rng rng(dim * 7 + 1);
+    for (int op = 0; op < 1500; ++op) {
+      if (live.empty() || rng.uniform_index(10) < 6) {
+        std::uint32_t id;
+        if (!free_ids.empty() && rng.uniform_index(2) == 0) {
+          id = free_ids.back();
+          free_ids.pop_back();
+        } else {
+          id = static_cast<std::uint32_t>(at.size());
+          at.emplace_back();
+          seq.push_back(0);
+        }
+        const PointId p = static_cast<PointId>(rng.uniform_index(pool.size()));
+        at[id].assign(pool.ptr(p), pool.ptr(p) + dim);
+        seq[id] = inserted++;
+        cells.insert(at[id].data(), id);
+        live.push_back(id);
+      } else {
+        const std::size_t j = rng.uniform_index(live.size());
+        const std::uint32_t id = live[j];
+        live[j] = live.back();
+        live.pop_back();
+        cells.erase(id);
+        free_ids.push_back(id);
+      }
+      if (op % 25 != 0) continue;
+      ASSERT_NO_THROW(cells.check_invariants());
+      ASSERT_EQ(cells.num_centers(), live.size());
+      for (std::uint32_t id : live)
+        ASSERT_EQ(std::memcmp(cells.center(id), at[id].data(),
+                              dim * sizeof(double)),
+                  0);
+      for (int k = 0; k < 12; ++k) {
+        const double* q =
+            pool.ptr(static_cast<PointId>(rng.uniform_index(pool.size())));
+        // first_within_eps: the (key, insertion)-first centre within eps.
+        std::uint32_t want = CenterCells::kNone;
+        std::vector<std::pair<std::uint32_t, double>> want2;
+        for (std::uint32_t id : live) {
+          const double d2 = sq_dist(q, at[id].data(), dim);
+          if (d2 <= 4.0 * eps * eps) want2.emplace_back(id, d2);
+          if (!(d2 < eps * eps)) continue;
+          if (want == CenterCells::kNone ||
+              std::make_pair(key_of_pt(at[id].data()), seq[id]) <
+                  std::make_pair(key_of_pt(at[want].data()), seq[want]))
+            want = id;
+        }
+        ASSERT_EQ(cells.first_within_eps(q), want) << "op " << op;
+        // visit_within_2eps: every centre within 2 * eps, in key order and
+        // in insertion order within a cell.
+        std::vector<std::pair<std::uint32_t, double>> got;
+        cells.visit_within_2eps(
+            q, [&](std::uint32_t id, double d2) { got.emplace_back(id, d2); });
+        for (std::size_t i = 1; i < got.size(); ++i)
+          ASSERT_LT(std::make_pair(key_of_pt(at[got[i - 1].first].data()),
+                                   seq[got[i - 1].first]),
+                    std::make_pair(key_of_pt(at[got[i].first].data()),
+                                   seq[got[i].first]));
+        std::sort(got.begin(), got.end());
+        std::sort(want2.begin(), want2.end());
+        ASSERT_EQ(got, want2) << "op " << op;
+      }
+    }
+    // Emptied again: every cell leaves, and the probes find nothing.
+    for (std::uint32_t id : live) cells.erase(id);
+    ASSERT_NO_THROW(cells.check_invariants());
+    EXPECT_EQ(cells.num_centers(), 0u);
+    EXPECT_EQ(cells.first_within_eps(pool.ptr(0)), CenterCells::kNone);
+  }
+}
+
+// Saturated keys: centres 1e300 apart share a cell, and the true distance
+// keeps them apart; a centre exactly eps away is not within eps, one exactly
+// 2 * eps away is within 2 * eps.
+TEST(CenterCells, OnlineSaturatedKeysAndExactBoundaries) {
+  CenterCells cells(2, 1.0);
+  const double far_a[2] = {1e300, 1e300}, far_b[2] = {2e300, 1e300},
+               o[2] = {0.0, 0.0}, e[2] = {1.0, 0.0}, e2[2] = {0.0, -2.0};
+  cells.insert(far_a, 0);
+  cells.insert(far_b, 1);
+  cells.insert(e, 2);
+  cells.insert(e2, 3);
+  EXPECT_NO_THROW(cells.check_invariants());
+  EXPECT_EQ(cells.first_within_eps(far_b), 1u);
+  EXPECT_EQ(cells.first_within_eps(o), CenterCells::kNone);
+  std::vector<std::uint32_t> got;
+  cells.visit_within_2eps(o, [&](std::uint32_t id, double) {
+    got.push_back(id);
+  });
+  EXPECT_EQ(got, (std::vector<std::uint32_t>{3, 2}));  // key order
+  cells.erase(1);
+  EXPECT_EQ(cells.first_within_eps(far_b), CenterCells::kNone);
+  EXPECT_EQ(cells.first_within_eps(far_a), 0u);
+  EXPECT_NO_THROW(cells.check_invariants());
 }
 
 }  // namespace

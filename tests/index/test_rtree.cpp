@@ -23,37 +23,35 @@ std::vector<PointId> linear_ball(const Dataset& ds,
   return out;
 }
 
-RTree build_tree(const Dataset& ds) {
-  RTree tree(ds.dim());
-  for (std::size_t i = 0; i < ds.size(); ++i)
-    tree.insert(ds.ptr(static_cast<PointId>(i)), static_cast<PointId>(i));
-  return tree;
-}
+RTree build_tree(const Dataset& ds) { return RTree::bulk_load_str(ds); }
 
 TEST(RTree, EmptyTreeQueriesNothing) {
-  RTree tree(3);
+  const RTree tree = RTree::bulk_load_str(3, {});
   std::vector<PointId> out;
   tree.query_ball(std::vector<double>{0.0, 0.0, 0.0}, 10.0, out);
   EXPECT_TRUE(out.empty());
-  EXPECT_EQ(tree.first_within(std::vector<double>{0.0, 0.0, 0.0}, 10.0),
-            kInvalidPoint);
+  std::vector<std::pair<PointId, double>> knn;
+  tree.query_knn(std::vector<double>{0.0, 0.0, 0.0}, 3, knn);
+  EXPECT_TRUE(knn.empty());
 }
 
 TEST(RTree, RejectsBadConfig) {
   RTree::Config cfg;
-  cfg.max_entries = 4;
-  cfg.min_entries = 3;  // violates max >= 2*min
-  EXPECT_THROW(RTree(2, cfg), std::invalid_argument);
-  EXPECT_THROW(RTree(0), std::invalid_argument);
+  cfg.max_entries = 1;  // a node must hold at least two entries
+  EXPECT_THROW(RTree::bulk_load_str(2, {}, cfg), std::invalid_argument);
+  EXPECT_THROW(RTree::bulk_load_str(0, {}), std::invalid_argument);
 }
 
 TEST(RTree, SingleInsertIsFindable) {
   Dataset ds(2, {1.0, 2.0});
   RTree tree = build_tree(ds);
   EXPECT_EQ(tree.size(), 1u);
-  EXPECT_EQ(tree.first_within(std::vector<double>{1.0, 2.0}, 0.1), 0u);
-  EXPECT_EQ(tree.first_within(std::vector<double>{5.0, 5.0}, 0.1),
-            kInvalidPoint);
+  std::vector<PointId> out;
+  tree.query_ball(std::vector<double>{1.0, 2.0}, 0.1, out);
+  EXPECT_EQ(out, std::vector<PointId>{0});
+  out.clear();
+  tree.query_ball(std::vector<double>{5.0, 5.0}, 0.1, out);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(RTree, StrictVsInclusiveBoundary) {
@@ -65,20 +63,6 @@ TEST(RTree, StrictVsInclusiveBoundary) {
   out.clear();
   tree.query_ball(std::vector<double>{0.0}, 2.0, out, /*strict=*/false);
   EXPECT_EQ(out.size(), 2u);  // the boundary point at exactly 2.0 included
-}
-
-TEST(RTree, InvariantsHoldDuringIncrementalGrowth) {
-  Dataset ds = gen_uniform(600, 3, -50.0, 50.0, 5);
-  RTree tree(3);
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    tree.insert(ds.ptr(static_cast<PointId>(i)), static_cast<PointId>(i));
-    if (i % 97 == 0) tree.check_invariants();
-  }
-  tree.check_invariants();
-  EXPECT_EQ(tree.size(), 600u);
-  const auto s = tree.stats();
-  EXPECT_GE(s.height, 2u);
-  EXPECT_EQ(s.entries, 600u);
 }
 
 TEST(RTree, DuplicatePointsAllRetrievable) {
@@ -160,19 +144,17 @@ INSTANTIATE_TEST_SUITE_P(
                       QueryCase{400, 3, 0.5, 5}, QueryCase{400, 3, 100.0, 6},
                       QueryCase{64, 74, 120.0, 7}));
 
-class RTreeConfigSweep
-    : public ::testing::TestWithParam<std::pair<std::uint32_t, std::uint32_t>> {
-};
+class RTreeConfigSweep : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(RTreeConfigSweep, InvariantsAndQueriesForNodeSizes) {
-  const auto [max_e, min_e] = GetParam();
   RTree::Config cfg;
-  cfg.max_entries = max_e;
-  cfg.min_entries = min_e;
+  cfg.max_entries = GetParam();
   Dataset ds = gen_uniform(400, 3, 0.0, 100.0, 11);
-  RTree tree(3, cfg);
+  std::vector<std::pair<const double*, PointId>> items;
   for (std::size_t i = 0; i < ds.size(); ++i)
-    tree.insert(ds.ptr(static_cast<PointId>(i)), static_cast<PointId>(i));
+    items.emplace_back(ds.ptr(static_cast<PointId>(i)),
+                       static_cast<PointId>(i));
+  const RTree tree = RTree::bulk_load_str(3, std::move(items), cfg);
   tree.check_invariants();
   const auto q = ds.point(0);
   std::vector<PointId> got;
@@ -182,10 +164,7 @@ TEST_P(RTreeConfigSweep, InvariantsAndQueriesForNodeSizes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(NodeSizes, RTreeConfigSweep,
-                         ::testing::Values(std::make_pair(4u, 2u),
-                                           std::make_pair(8u, 3u),
-                                           std::make_pair(16u, 6u),
-                                           std::make_pair(64u, 26u)));
+                         ::testing::Values(4u, 8u, 16u, 64u));
 
 // A ball query keeps its depth-first stack inline up to 256 nodes and spills
 // the rest to the heap: a 300-wide node pushes past the inline part, and the
@@ -193,7 +172,6 @@ INSTANTIATE_TEST_SUITE_P(NodeSizes, RTreeConfigSweep,
 TEST(RTree, WideNodesSpillTheQueryStackAndStayExact) {
   RTree::Config cfg;
   cfg.max_entries = 300;
-  cfg.min_entries = 6;
   Dataset ds = gen_uniform(300 * 300 + 7, 1, 0.0, 1000.0, 12);
   std::vector<std::pair<const double*, PointId>> items;
   for (std::size_t i = 0; i < ds.size(); ++i)

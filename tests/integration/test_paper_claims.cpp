@@ -77,11 +77,18 @@ TEST(PaperClaims, EpsGrowthIncreasesQuerySaves) {
 }
 
 TEST(PaperClaims, MergePhaseStaysMinorAtModerateRanks) {
-  // Table VII: merging is a small share of the distributed runtime.
+  // Table VII: merging is a small share of the distributed runtime. One run
+  // takes about 30 ms, so its wall-clock shares move with the host's load;
+  // the shares are summed over three runs.
   NamedDataset nd = make_named_dataset("MPAGD", kScale);
-  MuDbscanDStats st;
-  (void)mudbscan_d(nd.data, nd.params, 4, &st);
-  EXPECT_LT(st.t_merge, st.total() * 0.5);
+  double merge = 0.0, total = 0.0;
+  for (int run = 0; run < 3; ++run) {
+    MuDbscanDStats st;
+    (void)mudbscan_d(nd.data, nd.params, 4, &st);
+    merge += st.t_merge;
+    total += st.total();
+  }
+  EXPECT_LT(merge, total * 0.5);
 }
 
 TEST(PaperClaims, DistributedOutputVerifiesFromFirstPrinciples) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
 #include <utility>
 
+#include "baselines/uf_labels.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 
@@ -195,6 +197,63 @@ TEST(UnionFind, ConcurrentFindsDuringUnionsStayConsistent) {
   });
   EXPECT_EQ(uf.count_components(), 1u);
   for (PointId i = 0; i < n; ++i) ASSERT_EQ(uf.find(i), 0u);
+}
+
+TEST(UnionFind, ForwardPassLabelsMatchTheRootMapAfterConcurrentUnions) {
+  // Unions and path-halving finds race under the pool. At quiescence every
+  // parent must precede its child, and the one-pass labels must equal the
+  // root-keyed map definition they replaced: component ids in order of first
+  // appearance, and extract_labels numbering clusters by first non-noise
+  // point.
+  const std::size_t n = 12000;
+  Rng rng(77);
+  std::vector<std::pair<PointId, PointId>> edges;
+  for (std::size_t i = 0; i < 2 * n / 3; ++i)
+    edges.emplace_back(static_cast<PointId>(rng.uniform_index(n)),
+                       static_cast<PointId>(rng.uniform_index(n)));
+  std::vector<std::uint8_t> is_core(n), assigned(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    is_core[i] = rng.uniform_index(3) == 0;
+    assigned[i] = rng.uniform_index(2) == 0;
+  }
+  for (const unsigned nt : {1u, 4u}) {
+    UnionFind uf(n);
+    ThreadPool pool(nt);
+    pool.run([&](unsigned tid) {
+      Rng local(300 + tid);
+      for (std::size_t i = tid; i < edges.size(); i += nt) {
+        uf.union_sets(edges[i].first, edges[i].second);
+        (void)uf.find(static_cast<PointId>(local.uniform_index(n)));
+      }
+    });
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_LE(uf.parent(static_cast<PointId>(i)), i) << nt;
+
+    const UnionFind& cuf = uf;
+    std::vector<std::uint32_t> ids;
+    const std::size_t k = cuf.component_ids(ids);
+    std::unordered_map<PointId, std::uint32_t> comp_of_root;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto [it, fresh] = comp_of_root.try_emplace(
+          cuf.find(static_cast<PointId>(i)),
+          static_cast<std::uint32_t>(comp_of_root.size()));
+      ASSERT_EQ(ids[i], it->second) << "threads=" << nt << " i=" << i;
+    }
+    EXPECT_EQ(k, comp_of_root.size());
+
+    const ClusteringResult res = extract_labels(cuf, is_core, assigned);
+    std::unordered_map<PointId, std::int64_t> label_of_root;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::int64_t want = kNoise;
+      if (is_core[i] || assigned[i])
+        want = label_of_root
+                   .try_emplace(cuf.find(static_cast<PointId>(i)),
+                                static_cast<std::int64_t>(label_of_root.size()))
+                   .first->second;
+      ASSERT_EQ(res.label[i], want) << "threads=" << nt << " i=" << i;
+    }
+    EXPECT_EQ(res.is_core, is_core);
+  }
 }
 
 TEST(UnionFind, EmptyStructure) {
