@@ -131,13 +131,6 @@ class Box {
     return min_sq_dist(center) <= radius * radius;
   }
 
-  [[nodiscard]] std::span<const double> lo_span() const noexcept {
-    return lo_;
-  }
-  [[nodiscard]] std::span<const double> hi_span() const noexcept {
-    return hi_;
-  }
-
  private:
   std::vector<double> lo_;
   std::vector<double> hi_;

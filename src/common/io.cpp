@@ -4,11 +4,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <sstream>
-#include <stdexcept>
 
+#include "common/bytes.hpp"
 #include "common/vfs.hpp"
 
 namespace udb {
@@ -17,49 +16,8 @@ namespace {
 constexpr std::array<char, 4> kMagic = {'U', 'D', 'B', '1'};
 }
 
-Dataset read_csv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("read_csv: cannot open " + path);
-  std::vector<double> coords;
-  std::size_t dim = 0;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    for (char& c : line)
-      if (c == ',') c = ' ';
-    std::istringstream ss(line);
-    std::size_t count = 0;
-    double v = 0.0;
-    while (ss >> v) {
-      if (!std::isfinite(v))
-        throw std::runtime_error("read_csv: non-finite value at line " +
-                                 std::to_string(lineno) + " in " + path);
-      coords.push_back(v);
-      ++count;
-    }
-    // The extraction loop above stops either at end-of-line (fine) or on an
-    // unparseable token ("nan", "abc", ...) — which must be an error, not a
-    // silently shortened or skipped row.
-    if (!ss.eof())
-      throw std::runtime_error("read_csv: unparseable value at line " +
-                               std::to_string(lineno) + " in " + path);
-    if (count == 0) continue;
-    if (dim == 0) {
-      dim = count;
-    } else if (count != dim) {
-      throw std::runtime_error("read_csv: inconsistent dimension at line " +
-                               std::to_string(lineno) + " in " + path);
-    }
-  }
-  if (dim == 0) throw std::runtime_error("read_csv: no data in " + path);
-  return Dataset(dim, std::move(coords));
-}
-
-void write_csv(const Dataset& ds, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("write_csv: cannot open " + path);
+Status write_csv(const Dataset& ds, const std::string& path) {
+  std::ostringstream out;
   out.precision(17);
   for (std::size_t i = 0; i < ds.size(); ++i) {
     const double* p = ds.ptr(static_cast<PointId>(i));
@@ -69,43 +27,17 @@ void write_csv(const Dataset& ds, const std::string& path) {
     }
     out << '\n';
   }
-  if (!out) throw std::runtime_error("write_csv: write failed for " + path);
+  const std::string text = std::move(out).str();
+  return vfs::write_file_atomic(path, text.data(), text.size());
 }
 
-Dataset read_binary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("read_binary: cannot open " + path);
-  std::array<char, 4> magic{};
-  in.read(magic.data(), magic.size());
-  if (!in || magic != kMagic)
-    throw std::runtime_error("read_binary: bad magic in " + path);
-  std::uint64_t dim = 0, count = 0;
-  in.read(reinterpret_cast<char*>(&dim), sizeof dim);
-  in.read(reinterpret_cast<char*>(&count), sizeof count);
-  if (!in || dim == 0)
-    throw std::runtime_error("read_binary: bad header in " + path);
-  // A hostile or truncated header must not drive a huge (or overflowing)
-  // allocation: dim*count must fit in size_t with room for sizeof(double),
-  // and the payload it implies must fit in the bytes actually present.
-  constexpr std::uint64_t kMaxElems =
-      std::numeric_limits<std::size_t>::max() / sizeof(double);
-  if (count != 0 && dim > kMaxElems / count)
-    throw std::runtime_error("read_binary: header overflows size_t in " +
-                             path);
-  const std::uint64_t payload = dim * count * sizeof(double);
-  const auto data_pos = in.tellg();
-  in.seekg(0, std::ios::end);
-  const auto end_pos = in.tellg();
-  in.seekg(data_pos);
-  if (data_pos < 0 || end_pos < data_pos ||
-      static_cast<std::uint64_t>(end_pos - data_pos) < payload)
-    throw std::runtime_error(
-        "read_binary: header implies more data than file holds in " + path);
-  std::vector<double> coords(static_cast<std::size_t>(dim * count));
-  in.read(reinterpret_cast<char*>(coords.data()),
-          static_cast<std::streamsize>(coords.size() * sizeof(double)));
-  if (!in) throw std::runtime_error("read_binary: truncated file " + path);
-  return Dataset(dim, std::move(coords));
+Status write_binary(const Dataset& ds, const std::string& path) {
+  ByteWriter out;
+  out.raw(kMagic.data(), kMagic.size());
+  out.u64(ds.dim());
+  out.u64(ds.size());
+  out.raw(ds.raw().data(), ds.raw().size() * sizeof(double));
+  return vfs::write_file_atomic(path, out.data().data(), out.size());
 }
 
 StatusOr<Dataset> load_csv(const std::string& path, const ReadOptions& opts,
@@ -239,19 +171,6 @@ StatusOr<Dataset> load_binary(const std::string& path, const ReadOptions& opts,
         " (over max_skip_fraction)");
   if (report) *report = rep;
   return Dataset(static_cast<std::size_t>(dim), std::move(coords));
-}
-
-void write_binary(const Dataset& ds, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("write_binary: cannot open " + path);
-  out.write(kMagic.data(), kMagic.size());
-  const std::uint64_t dim = ds.dim();
-  const std::uint64_t count = ds.size();
-  out.write(reinterpret_cast<const char*>(&dim), sizeof dim);
-  out.write(reinterpret_cast<const char*>(&count), sizeof count);
-  out.write(reinterpret_cast<const char*>(ds.raw().data()),
-            static_cast<std::streamsize>(ds.raw().size() * sizeof(double)));
-  if (!out) throw std::runtime_error("write_binary: write failed for " + path);
 }
 
 }  // namespace udb

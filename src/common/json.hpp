@@ -51,10 +51,6 @@ class Value {
   // Dotted-path convenience: find_path("serve_ledger.holds").
   const Value* find_path(std::string_view path) const;
 
-  double number_or(double fallback) const {
-    return is_number() ? number : fallback;
-  }
-  bool bool_or(bool fallback) const { return is_bool() ? boolean : fallback; }
   std::string string_or(std::string fallback) const {
     return is_string() ? string : std::move(fallback);
   }

@@ -371,15 +371,25 @@ PointId IncrementalMuDbscan::erase_equal(std::span<const double> pt) {
   if (pt.size() != dim_)
     throw std::invalid_argument(
         "IncrementalMuDbscan::erase_equal: wrong dimension");
+  // insert() refuses non-finite coordinates, so no alive point matches one
+  // (and a NaN must not reach the centre index's cell arithmetic).
+  if (!std::all_of(pt.begin(), pt.end(),
+                   [](double v) { return std::isfinite(v); }))
+    return kInvalidPoint;
+  // An alive point is a member of the MC whose centre is strictly within eps
+  // of it (assign_to_mc), so only those MCs' members are candidates: the
+  // cost follows the neighbourhood, not the number of points ever inserted.
   const std::size_t bytes = dim_ * sizeof(double);
-  for (PointId id = 0; id < total_; ++id) {
-    if (!alive_[id]) continue;
-    if (std::memcmp(ptr(id), pt.data(), bytes) == 0) {
-      erase(id);
-      return id;
-    }
-  }
-  return kInvalidPoint;
+  PointId found = kInvalidPoint;
+  centers_.visit_within_2eps(pt.data(), [&](std::uint32_t z, double d2) {
+    if (d2 >= eps2_) return;
+    for (PointId m : mcs_[z].members)
+      if (m < found && alive_[m] &&
+          std::memcmp(ptr(m), pt.data(), bytes) == 0)
+        found = m;
+  });
+  if (found != kInvalidPoint) erase(found);
+  return found;
 }
 
 void IncrementalMuDbscan::repair_after_failures(

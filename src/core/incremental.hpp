@@ -96,9 +96,11 @@ class IncrementalMuDbscan {
   bool erase(PointId id);
 
   // Remove the first (lowest-id) alive point whose coordinates are bitwise
-  // equal to `pt` (memcmp semantics: -0.0 != +0.0, NaNs match by payload).
-  // Returns the erased id, or kInvalidPoint if no alive point matches.
-  // This is the WAL-tombstone replay primitive (docs/ROBUSTNESS.md).
+  // equal to `pt` (memcmp semantics: -0.0 != +0.0; a non-finite `pt`
+  // matches nothing, since insert refuses it). Returns the erased id, or
+  // kInvalidPoint if no alive point matches. Only the members of MCs whose
+  // centre is strictly within eps of `pt` are compared. This is the
+  // WAL-tombstone replay primitive (docs/ROBUSTNESS.md).
   PointId erase_equal(std::span<const double> pt);
 
   [[nodiscard]] std::size_t size() const noexcept { return alive_count_; }

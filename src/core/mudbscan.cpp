@@ -597,11 +597,6 @@ ClusteringResult MuDbscanEngine::extract_result() const {
   return extract_labels(std::as_const(uf_), is_core_, assigned_);
 }
 
-void MuDbscanEngine::query_neighborhood(
-    PointId p, std::vector<std::pair<PointId, double>>& out) const {
-  tree_->query_neighborhood(p, params_.eps, out);
-}
-
 ClusteringResult mu_dbscan(const Dataset& ds, const DbscanParams& params,
                            MuDbscanStats* stats, const MuDbscanConfig& cfg) {
   MuDbscanEngine engine(ds, params, cfg);

@@ -55,11 +55,6 @@ class MuDbscanEngine {
 
   [[nodiscard]] ClusteringResult extract_result() const;
 
-  // Exact eps-neighborhood query through the µR-tree (used by the
-  // distributed boundary-edge pass). Valid after cluster().
-  void query_neighborhood(PointId p,
-                          std::vector<std::pair<PointId, double>>& out) const;
-
   [[nodiscard]] const MuRTree& tree() const { return *tree_; }
   [[nodiscard]] const Dataset& dataset() const { return *ds_; }
   [[nodiscard]] const DbscanParams& params() const { return params_; }
@@ -70,9 +65,6 @@ class MuDbscanEngine {
   [[nodiscard]] const std::vector<std::uint8_t>& assigned_flags() const {
     return assigned_;
   }
-  // Marks a point as belonging to some cluster (used by the distributed
-  // merge when a remote core adopts a local border point).
-  void mark_assigned(PointId p) { assigned_[p] = 1; }
 
   // The run guard governing this engine: the external cfg.guard when one was
   // supplied, the engine-owned guard when cfg limits are set, else null.

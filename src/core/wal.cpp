@@ -7,8 +7,8 @@
 #include <span>
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "common/crc32.hpp"
-#include "serve/wire.hpp"
 
 namespace udb {
 
@@ -16,7 +16,7 @@ namespace {
 
 std::vector<std::uint8_t> encode_wal_header(std::size_t dim,
                                             std::uint64_t epoch) {
-  serve::ByteWriter w;
+  ByteWriter w;
   w.raw(kWalMagic, sizeof kWalMagic);
   w.u32(kWalVersion);
   w.u64(dim);
@@ -45,18 +45,15 @@ StatusOr<WalScan> scan_wal(std::span<const std::uint8_t> bytes,
   if (bytes.size() < kWalHeaderBytes)
     return DataLossError("wal: " + origin + " too small to hold a header (" +
                          std::to_string(bytes.size()) + " bytes)");
-  serve::ByteReader h(bytes.subspan(0, kWalHeaderBytes));
-  char magic[4];
-  std::uint32_t version = 0;
+  ByteReader h(bytes.subspan(0, kWalHeaderBytes));
+  if (Status s =
+          read_magic_version(h, kWalMagic, kWalVersion, "wal: " + origin);
+      !s.ok())
+    return s;
   std::uint64_t dim = 0;
   std::uint64_t epoch = 0;
-  if (!h.raw(magic, sizeof magic) || !h.u32(version) || !h.u64(dim) ||
-      !h.u64(epoch) || std::memcmp(magic, kWalMagic, sizeof magic) != 0)
-    return DataLossError("wal: " + origin + " has no WAL header (bad magic)");
-  if (version != kWalVersion)
-    return DataLossError("wal: " + origin + " is version " +
-                         std::to_string(version) + ", this build reads " +
-                         std::to_string(kWalVersion) + " only");
+  (void)h.u64(dim);  // in range: the size was checked above
+  (void)h.u64(epoch);
   if (dim == 0 || dim > std::numeric_limits<std::size_t>::max() / sizeof(double))
     return DataLossError("wal: " + origin + " header has absurd dim " +
                          std::to_string(dim));
@@ -251,12 +248,12 @@ Status WalWriter::append_delete(std::span<const double> coords) {
 
 Status WalWriter::emit_record(WalRecordType type, std::uint64_t start_index,
                               std::span<const double> coords) {
-  serve::ByteWriter payload;
+  ByteWriter payload;
   payload.u8(static_cast<std::uint8_t>(type));
   payload.u64(start_index);
   payload.u64(coords.size() / dim_);
   payload.raw(coords.data(), coords.size() * sizeof(double));
-  serve::ByteWriter frame;
+  ByteWriter frame;
   frame.u32(static_cast<std::uint32_t>(payload.size()));
   frame.u32(crc32(payload.data().data(), payload.size()));
   frame.raw(payload.data().data(), payload.size());

@@ -1,35 +1,31 @@
 #include "dist/checkpoint.hpp"
 
-#include <cstring>
 #include <limits>
-#include <span>
 
-#include "common/crc32.hpp"
+#include "common/bytes.hpp"
 #include "common/vfs.hpp"
-#include "serve/wire.hpp"
 
 namespace udb {
 
 namespace {
 
-// Spill layout: magic "UDBC" | u32 version | u64 payload_bytes | payload |
-// u32 crc32(payload). Payload: u32 nranks, then per logical rank the three
+// Spill layout: the sealed envelope of common/bytes.hpp (magic "UDBC",
+// version 1) around a payload of u32 nranks, then per logical rank the three
 // phase slots in order, each a u8 valid flag followed by length-prefixed
 // arrays. Same rejection discipline as the model snapshot codec: size
 // mismatch, CRC mismatch, or any length that disagrees with the bytes
 // present is DATA_LOSS, never a partial store.
 constexpr char kCkptMagic[4] = {'U', 'D', 'B', 'C'};
 constexpr std::uint32_t kCkptVersion = 1;
-constexpr std::size_t kCkptHeaderBytes = 4 + 4 + 8;
 
 template <typename T>
-void put_array(serve::ByteWriter& w, const std::vector<T>& v) {
+void put_array(ByteWriter& w, const std::vector<T>& v) {
   w.u64(v.size());
   w.raw(v.data(), v.size() * sizeof(T));
 }
 
 template <typename T>
-[[nodiscard]] bool get_array(serve::ByteReader& r, std::vector<T>& v) {
+[[nodiscard]] bool get_array(ByteReader& r, std::vector<T>& v) {
   std::uint64_t n = 0;
   if (!r.u64(n)) return false;
   if (n > std::numeric_limits<std::size_t>::max() / sizeof(T)) return false;
@@ -39,7 +35,7 @@ template <typename T>
 }  // namespace
 
 Status CheckpointStore::save_to(const std::string& path) const {
-  serve::ByteWriter payload;
+  ByteWriter payload;
   payload.u32(static_cast<std::uint32_t>(nranks()));
   for (std::size_t r = 0; r < partition_.size(); ++r) {
     const PartitionCkpt& p = partition_[r];
@@ -58,48 +54,19 @@ Status CheckpointStore::save_to(const std::string& path) const {
     put_array(payload, l.assigned);
   }
 
-  serve::ByteWriter out;
-  out.raw(kCkptMagic, sizeof kCkptMagic);
-  out.u32(kCkptVersion);
-  out.u64(payload.size());
-  out.raw(payload.data().data(), payload.size());
-  out.u32(crc32(payload.data().data(), payload.size()));
-  return vfs::write_file_atomic(path, out.data().data(), out.size());
+  const std::vector<std::uint8_t> out =
+      seal(kCkptMagic, kCkptVersion, payload.data());
+  return vfs::write_file_atomic(path, out.data(), out.size());
 }
 
 StatusOr<CheckpointStore> CheckpointStore::load_from(const std::string& path) {
   auto bytes = vfs::read_file(path);
   if (!bytes.ok()) return bytes.status();
-  if (bytes->size() < kCkptHeaderBytes + 4)
-    return DataLossError("checkpoint spill " + path +
-                         " too small to hold a header");
-  serve::ByteReader header{
-      std::span<const std::uint8_t>(bytes->data(), kCkptHeaderBytes)};
-  char magic[4];
-  std::uint32_t version = 0;
-  std::uint64_t payload_bytes = 0;
-  if (!header.raw(magic, sizeof magic) || !header.u32(version) ||
-      !header.u64(payload_bytes) ||
-      std::memcmp(magic, kCkptMagic, sizeof magic) != 0)
-    return DataLossError("checkpoint spill " + path +
-                         " is not a checkpoint spill (bad magic)");
-  if (version != kCkptVersion)
-    return DataLossError("checkpoint spill " + path + " is version " +
-                         std::to_string(version) + ", this build reads " +
-                         std::to_string(kCkptVersion));
-  if (payload_bytes != bytes->size() - kCkptHeaderBytes - 4)
-    return DataLossError("checkpoint spill " + path +
-                         " size mismatch — truncated or padded");
-  const std::uint8_t* payload = bytes->data() + kCkptHeaderBytes;
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, payload + payload_bytes, sizeof stored_crc);
-  if (crc32(payload, static_cast<std::size_t>(payload_bytes)) !=
-      stored_crc)
-    return DataLossError("checkpoint spill " + path +
-                         " fails its checksum — corrupted");
+  auto payload = open_sealed(*bytes, kCkptMagic, kCkptVersion,
+                             "checkpoint spill " + path);
+  if (!payload.ok()) return payload.status();
 
-  serve::ByteReader r{std::span<const std::uint8_t>(
-      payload, static_cast<std::size_t>(payload_bytes))};
+  ByteReader r(*payload);
   std::uint32_t nranks = 0;
   if (!r.u32(nranks) || nranks == 0 ||
       nranks > std::numeric_limits<int>::max())

@@ -108,8 +108,6 @@ RTree& RTree::operator=(RTree&& other) noexcept {
   return *this;
 }
 
-const Box& RTree::root_mbr() const { return root_->mbr; }
-
 void RTree::query_ball(std::span<const double> center, double radius,
                        std::vector<PointId>& out, bool strict) const {
   visit_ball(

@@ -80,7 +80,6 @@ class RTree {
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
-  [[nodiscard]] const Box& root_mbr() const;
 
   // Instrumentation: number of point-point distance evaluations and tree
   // nodes visited (popped from the search stack/frontier) by queries since

@@ -106,7 +106,6 @@ class Runtime {
   // exits, peers observe TimeoutError on recv, and the run completes with
   // the rank listed in crashed_ranks().
   void set_fault_plan(FaultPlan plan) { plan_ = std::move(plan); }
-  void clear_fault_plan() { plan_.reset(); }
   [[nodiscard]] bool fault_mode() const noexcept { return plan_.has_value(); }
 
   // Ranks that died to an injected crash during the last run(), in crash

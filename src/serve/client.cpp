@@ -41,105 +41,6 @@ StatusOr<Response> Client::roundtrip_with_id(std::uint64_t request_id,
   return resp;
 }
 
-namespace {
-
-// Folds transport and server-side failure into one Status; on success checks
-// the response type matches what was asked.
-Status unwrap(const StatusOr<Response>& r, MsgType want, Response& out) {
-  if (!r.ok()) return r.status();
-  if (r->code != StatusCode::kOk) return r->to_status();
-  if (r->type != want)
-    return DataLossError("client: response type does not match request");
-  out = *r;
-  return Status::Ok();
-}
-
-}  // namespace
-
-Status Client::ping() {
-  Request req;
-  req.type = MsgType::kPing;
-  Response resp;
-  return unwrap(roundtrip(req), MsgType::kPing, resp);
-}
-
-StatusOr<std::vector<Classify>> Client::classify(std::span<const double> coords,
-                                                 std::uint32_t dim) {
-  Request req;
-  req.type = MsgType::kClassify;
-  req.dim = dim;
-  req.coords.assign(coords.begin(), coords.end());
-  Response resp;
-  if (Status st = unwrap(roundtrip(req), MsgType::kClassify, resp); !st.ok())
-    return st;
-  return std::move(resp.classify);
-}
-
-StatusOr<std::vector<std::pair<std::uint64_t, double>>> Client::neighbors(
-    std::span<const double> q, double radius) {
-  Request req;
-  req.type = MsgType::kNeighbors;
-  req.dim = static_cast<std::uint32_t>(q.size());
-  req.coords.assign(q.begin(), q.end());
-  req.radius = radius;
-  Response resp;
-  if (Status st = unwrap(roundtrip(req), MsgType::kNeighbors, resp); !st.ok())
-    return st;
-  return std::move(resp.neighbors);
-}
-
-StatusOr<PointInfo> Client::point_info(std::uint64_t id) {
-  Request req;
-  req.type = MsgType::kPointInfo;
-  req.point_id = id;
-  Response resp;
-  if (Status st = unwrap(roundtrip(req), MsgType::kPointInfo, resp); !st.ok())
-    return st;
-  return resp.point;
-}
-
-StatusOr<std::string> Client::stats_json() {
-  Request req;
-  req.type = MsgType::kStats;
-  Response resp;
-  if (Status st = unwrap(roundtrip(req), MsgType::kStats, resp); !st.ok())
-    return st;
-  return std::move(resp.json);
-}
-
-StatusOr<ModelInfo> Client::model_info() {
-  Request req;
-  req.type = MsgType::kModelInfo;
-  Response resp;
-  if (Status st = unwrap(roundtrip(req), MsgType::kModelInfo, resp); !st.ok())
-    return st;
-  return resp.model;
-}
-
-StatusOr<TelemetryReport> Client::telemetry() {
-  Request req;
-  req.type = MsgType::kTelemetry;
-  req.telemetry_format = TelemetryFormat::kBinary;
-  Response resp;
-  if (Status st = unwrap(roundtrip(req), MsgType::kTelemetry, resp); !st.ok())
-    return st;
-  if (resp.telemetry_format != TelemetryFormat::kBinary)
-    return DataLossError("client: telemetry format does not match request");
-  return resp.telemetry;
-}
-
-StatusOr<std::string> Client::telemetry_text(TelemetryFormat format) {
-  Request req;
-  req.type = MsgType::kTelemetry;
-  req.telemetry_format = format;
-  Response resp;
-  if (Status st = unwrap(roundtrip(req), MsgType::kTelemetry, resp); !st.ok())
-    return st;
-  if (resp.telemetry_format != format)
-    return DataLossError("client: telemetry format does not match request");
-  return std::move(resp.json);
-}
-
 StatusOr<Response> Client::raw_roundtrip(std::span<const std::uint8_t> body) {
   if (Status st = write_frame(sock_, body); !st.ok()) return st;
   StatusOr<std::vector<std::uint8_t>> frame = read_frame(sock_);
@@ -151,6 +52,93 @@ StatusOr<Response> Client::raw_roundtrip(std::span<const std::uint8_t> body) {
   Response resp;
   if (Status st = decode_response(env.payload, resp); !st.ok()) return st;
   return resp;
+}
+
+namespace {
+
+// One typed round trip: folds transport and server-side failure into one
+// Status and, on success, checks the response type matches what was asked.
+StatusOr<Response> call(ClientCalls& c, const Request& req) {
+  StatusOr<Response> r = c.roundtrip(req);
+  if (!r.ok()) return r.status();
+  if (r->code != StatusCode::kOk) return r->to_status();
+  if (r->type != req.type)
+    return DataLossError("client: response type does not match request");
+  return r;
+}
+
+Request request(MsgType type) {
+  Request req;
+  req.type = type;
+  return req;
+}
+
+StatusOr<Response> telemetry_call(ClientCalls& c, TelemetryFormat format) {
+  Request req = request(MsgType::kTelemetry);
+  req.telemetry_format = format;
+  StatusOr<Response> resp = call(c, req);
+  if (resp.ok() && resp->telemetry_format != format)
+    return DataLossError("client: telemetry format does not match request");
+  return resp;
+}
+
+}  // namespace
+
+Status ClientCalls::ping() {
+  return call(*this, request(MsgType::kPing)).status();
+}
+
+StatusOr<std::vector<Classify>> ClientCalls::classify(
+    std::span<const double> coords, std::uint32_t dim) {
+  Request req = request(MsgType::kClassify);
+  req.dim = dim;
+  req.coords.assign(coords.begin(), coords.end());
+  StatusOr<Response> resp = call(*this, req);
+  if (!resp.ok()) return resp.status();
+  return std::move(resp->classify);
+}
+
+StatusOr<std::vector<std::pair<std::uint64_t, double>>> ClientCalls::neighbors(
+    std::span<const double> q, double radius) {
+  Request req = request(MsgType::kNeighbors);
+  req.dim = static_cast<std::uint32_t>(q.size());
+  req.coords.assign(q.begin(), q.end());
+  req.radius = radius;
+  StatusOr<Response> resp = call(*this, req);
+  if (!resp.ok()) return resp.status();
+  return std::move(resp->neighbors);
+}
+
+StatusOr<PointInfo> ClientCalls::point_info(std::uint64_t id) {
+  Request req = request(MsgType::kPointInfo);
+  req.point_id = id;
+  StatusOr<Response> resp = call(*this, req);
+  if (!resp.ok()) return resp.status();
+  return resp->point;
+}
+
+StatusOr<std::string> ClientCalls::stats_json() {
+  StatusOr<Response> resp = call(*this, request(MsgType::kStats));
+  if (!resp.ok()) return resp.status();
+  return std::move(resp->json);
+}
+
+StatusOr<ModelInfo> ClientCalls::model_info() {
+  StatusOr<Response> resp = call(*this, request(MsgType::kModelInfo));
+  if (!resp.ok()) return resp.status();
+  return resp->model;
+}
+
+StatusOr<TelemetryReport> ClientCalls::telemetry() {
+  StatusOr<Response> resp = telemetry_call(*this, TelemetryFormat::kBinary);
+  if (!resp.ok()) return resp.status();
+  return std::move(resp->telemetry);
+}
+
+StatusOr<std::string> ClientCalls::telemetry_text(TelemetryFormat format) {
+  StatusOr<Response> resp = telemetry_call(*this, format);
+  if (!resp.ok()) return resp.status();
+  return std::move(resp->json);
 }
 
 }  // namespace udb::serve

@@ -18,36 +18,20 @@
 
 namespace udb::serve {
 
-class Client {
+// The typed calls, written once over a virtual roundtrip(): Client answers
+// it with one frame pair on its socket, RetryingClient (serve/retry.hpp) with
+// its retry loop. Each call folds the server-side error into the Status, so
+// callers see exactly one failure channel, and checks that the response type
+// matches the request.
+class ClientCalls {
  public:
-  // `timeout_seconds` bounds connect and every subsequent send/recv.
-  [[nodiscard]] static StatusOr<Client> connect(std::uint16_t port,
-                                                double timeout_seconds = 5.0);
+  virtual ~ClientCalls() = default;
 
-  Client(Client&&) = default;
-  Client& operator=(Client&&) = default;
-
-  // One frame out, one back. A transport failure comes back as the
+  // One logical request, one response. A transport failure comes back as the
   // Status; a server-side error comes back as an OK StatusOr whose Response
-  // carries code != kOk (call resp.to_status()). The response envelope must
-  // echo the request id — except id 0, the server's "could not attribute"
-  // channel (connection shed, corrupt request envelope), which only ever
-  // carries an error.
-  [[nodiscard]] StatusOr<Response> roundtrip(const Request& req);
-  // Same, but with a caller-chosen request id — the retrying client reuses
-  // one id across attempts so a retry is recognizably the *same* request.
-  // Nonzero trace_id / parent_span_id ride the traced (0xB3) envelope so the
-  // server's per-request spans land in the same trace (docs/OBSERVABILITY.md,
-  // "Live telemetry"); both 0 sends the byte-identical untraced frame.
-  [[nodiscard]] StatusOr<Response> roundtrip_with_id(
-      std::uint64_t request_id, const Request& req, std::uint64_t trace_id = 0,
-      std::uint64_t parent_span_id = 0);
-  [[nodiscard]] std::uint64_t allocate_request_id() noexcept {
-    return next_request_id_++;
-  }
+  // carries code != kOk (call resp.to_status()).
+  [[nodiscard]] virtual StatusOr<Response> roundtrip(const Request& req) = 0;
 
-  // Typed conveniences. These fold the server-side error into the Status, so
-  // callers see exactly one failure channel.
   [[nodiscard]] Status ping();
   [[nodiscard]] StatusOr<std::vector<Classify>> classify(
       std::span<const double> coords, std::uint32_t dim);
@@ -60,6 +44,39 @@ class Client {
   // text expositions (kJson / kPrometheus) as a string.
   [[nodiscard]] StatusOr<TelemetryReport> telemetry();
   [[nodiscard]] StatusOr<std::string> telemetry_text(TelemetryFormat format);
+
+ protected:
+  ClientCalls() = default;
+  ClientCalls(const ClientCalls&) = default;
+  ClientCalls& operator=(const ClientCalls&) = default;
+  ClientCalls(ClientCalls&&) = default;
+  ClientCalls& operator=(ClientCalls&&) = default;
+};
+
+class Client : public ClientCalls {
+ public:
+  // `timeout_seconds` bounds connect and every subsequent send/recv.
+  [[nodiscard]] static StatusOr<Client> connect(std::uint16_t port,
+                                                double timeout_seconds = 5.0);
+
+  Client(Client&&) = default;
+  Client& operator=(Client&&) = default;
+
+  // One frame out, one back. The response envelope must echo the request id
+  // — except id 0, the server's "could not attribute" channel (connection
+  // shed, corrupt request envelope), which only ever carries an error.
+  [[nodiscard]] StatusOr<Response> roundtrip(const Request& req) override;
+  // Same, but with a caller-chosen request id — the retrying client reuses
+  // one id across attempts so a retry is recognizably the *same* request.
+  // Nonzero trace_id / parent_span_id ride the traced (0xB3) envelope so the
+  // server's per-request spans land in the same trace (docs/OBSERVABILITY.md,
+  // "Live telemetry"); both 0 sends the byte-identical untraced frame.
+  [[nodiscard]] StatusOr<Response> roundtrip_with_id(
+      std::uint64_t request_id, const Request& req, std::uint64_t trace_id = 0,
+      std::uint64_t parent_span_id = 0);
+  [[nodiscard]] std::uint64_t allocate_request_id() noexcept {
+    return next_request_id_++;
+  }
 
   // Test hook: ships an arbitrary frame body and returns the server's raw
   // answer (decoded if possible).

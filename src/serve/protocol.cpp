@@ -3,8 +3,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/bytes.hpp"
 #include "common/crc32.hpp"
-#include "serve/wire.hpp"
 
 namespace udb::serve {
 

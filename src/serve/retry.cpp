@@ -21,17 +21,6 @@ std::uint64_t derive_trace_id(std::uint64_t seed, std::uint64_t request_id) {
   return z == 0 ? 1 : z;
 }
 
-// Folds transport and server-side failure into one Status; on success checks
-// the response type matches what was asked (same contract as Client's).
-Status unwrap(const StatusOr<Response>& r, MsgType want, Response& out) {
-  if (!r.ok()) return r.status();
-  if (r->code != StatusCode::kOk) return r->to_status();
-  if (r->type != want)
-    return DataLossError("client: response type does not match request");
-  out = *r;
-  return Status::Ok();
-}
-
 }  // namespace
 
 bool retryable_status(StatusCode code) noexcept {
@@ -174,90 +163,6 @@ StatusOr<Response> RetryingClient::roundtrip(const Request& req) {
   if (metrics_ != nullptr) metrics_->add(obs::Counter::kServeClientGiveUps);
   note(/*error=*/true, attempts_made);
   return last;
-}
-
-Status RetryingClient::ping() {
-  Request req;
-  req.type = MsgType::kPing;
-  Response resp;
-  return unwrap(roundtrip(req), MsgType::kPing, resp);
-}
-
-StatusOr<std::vector<Classify>> RetryingClient::classify(
-    std::span<const double> coords, std::uint32_t dim) {
-  Request req;
-  req.type = MsgType::kClassify;
-  req.dim = dim;
-  req.coords.assign(coords.begin(), coords.end());
-  Response resp;
-  if (Status st = unwrap(roundtrip(req), MsgType::kClassify, resp); !st.ok())
-    return st;
-  return std::move(resp.classify);
-}
-
-StatusOr<std::vector<std::pair<std::uint64_t, double>>>
-RetryingClient::neighbors(std::span<const double> q, double radius) {
-  Request req;
-  req.type = MsgType::kNeighbors;
-  req.dim = static_cast<std::uint32_t>(q.size());
-  req.coords.assign(q.begin(), q.end());
-  req.radius = radius;
-  Response resp;
-  if (Status st = unwrap(roundtrip(req), MsgType::kNeighbors, resp); !st.ok())
-    return st;
-  return std::move(resp.neighbors);
-}
-
-StatusOr<PointInfo> RetryingClient::point_info(std::uint64_t id) {
-  Request req;
-  req.type = MsgType::kPointInfo;
-  req.point_id = id;
-  Response resp;
-  if (Status st = unwrap(roundtrip(req), MsgType::kPointInfo, resp); !st.ok())
-    return st;
-  return resp.point;
-}
-
-StatusOr<std::string> RetryingClient::stats_json() {
-  Request req;
-  req.type = MsgType::kStats;
-  Response resp;
-  if (Status st = unwrap(roundtrip(req), MsgType::kStats, resp); !st.ok())
-    return st;
-  return std::move(resp.json);
-}
-
-StatusOr<ModelInfo> RetryingClient::model_info() {
-  Request req;
-  req.type = MsgType::kModelInfo;
-  Response resp;
-  if (Status st = unwrap(roundtrip(req), MsgType::kModelInfo, resp); !st.ok())
-    return st;
-  return resp.model;
-}
-
-StatusOr<TelemetryReport> RetryingClient::telemetry() {
-  Request req;
-  req.type = MsgType::kTelemetry;
-  req.telemetry_format = TelemetryFormat::kBinary;
-  Response resp;
-  if (Status st = unwrap(roundtrip(req), MsgType::kTelemetry, resp); !st.ok())
-    return st;
-  if (resp.telemetry_format != TelemetryFormat::kBinary)
-    return DataLossError("client: telemetry format does not match request");
-  return resp.telemetry;
-}
-
-StatusOr<std::string> RetryingClient::telemetry_text(TelemetryFormat format) {
-  Request req;
-  req.type = MsgType::kTelemetry;
-  req.telemetry_format = format;
-  Response resp;
-  if (Status st = unwrap(roundtrip(req), MsgType::kTelemetry, resp); !st.ok())
-    return st;
-  if (resp.telemetry_format != format)
-    return DataLossError("client: telemetry format does not match request");
-  return std::move(resp.json);
 }
 
 std::string RetryingClient::client_stats_json() const {

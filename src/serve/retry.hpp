@@ -50,7 +50,7 @@ struct RetryPolicy {
 // True for the status codes the policy above may retry.
 [[nodiscard]] bool retryable_status(StatusCode code) noexcept;
 
-class RetryingClient {
+class RetryingClient : public ClientCalls {
  public:
   // `ports` are replicas serving the same model snapshot, tried in order
   // starting from the first; on failure the client rotates to the next.
@@ -64,20 +64,9 @@ class RetryingClient {
                           obs::Tracer* tracer = nullptr);
 
   // Core retry loop. A non-retryable server-side error comes back as an OK
-  // StatusOr whose Response carries code != kOk, exactly like Client.
-  [[nodiscard]] StatusOr<Response> roundtrip(const Request& req);
-
-  // Typed conveniences mirroring Client; one failure channel.
-  [[nodiscard]] Status ping();
-  [[nodiscard]] StatusOr<std::vector<Classify>> classify(
-      std::span<const double> coords, std::uint32_t dim);
-  [[nodiscard]] StatusOr<std::vector<std::pair<std::uint64_t, double>>>
-  neighbors(std::span<const double> q, double radius);
-  [[nodiscard]] StatusOr<PointInfo> point_info(std::uint64_t id);
-  [[nodiscard]] StatusOr<std::string> stats_json();
-  [[nodiscard]] StatusOr<ModelInfo> model_info();
-  [[nodiscard]] StatusOr<TelemetryReport> telemetry();
-  [[nodiscard]] StatusOr<std::string> telemetry_text(TelemetryFormat format);
+  // StatusOr whose Response carries code != kOk, exactly like Client. The
+  // typed calls (ping ... telemetry_text) come from ClientCalls.
+  [[nodiscard]] StatusOr<Response> roundtrip(const Request& req) override;
 
   // The client-side stats document (schema_version 2, tool
   // "udbscan_client"): the shared report schema over this client's metrics

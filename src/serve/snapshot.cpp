@@ -1,12 +1,10 @@
 #include "serve/snapshot.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 
-#include "common/crc32.hpp"
+#include "common/bytes.hpp"
 #include "common/vfs.hpp"
-#include "serve/wire.hpp"
 
 namespace udb::serve {
 
@@ -19,12 +17,8 @@ namespace {
 //     f64 coords[n*dim] | i64 labels[n] | u8 is_core[n]
 //     u32 report_len | report_json bytes
 //   u32 crc32(payload)
-// The file size must equal 16 + payload_bytes + 4 exactly: a truncated tail
-// or trailing garbage is rejected before any parsing happens. Only flag bit
-// 0 is written; other bits are ignored on read.
-constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
-constexpr std::size_t kFooterBytes = 4;
-
+// The envelope is common/bytes.hpp's seal/open_sealed. Only flag bit 0 is
+// written; other bits are ignored on read.
 constexpr std::uint32_t kFlagTwoEpsRule = 1u << 0;
 
 }  // namespace
@@ -61,13 +55,7 @@ StatusOr<std::vector<std::uint8_t>> serialize_model(const ModelSnapshot& snap) {
   payload.u32(static_cast<std::uint32_t>(snap.report_json.size()));
   payload.raw(snap.report_json.data(), snap.report_json.size());
 
-  ByteWriter out;
-  out.raw(kSnapshotMagic, sizeof kSnapshotMagic);
-  out.u32(kSnapshotVersion);
-  out.u64(payload.size());
-  out.raw(payload.data().data(), payload.size());
-  out.u32(crc32(payload.data().data(), payload.size()));
-  return out.take();
+  return seal(kSnapshotMagic, kSnapshotVersion, payload.data());
 }
 
 Status save_model(const ModelSnapshot& snap, const std::string& path) {
@@ -92,41 +80,11 @@ StatusOr<ModelSnapshot> load_model(const std::string& path) {
 
 StatusOr<ModelSnapshot> parse_model(std::span<const std::uint8_t> bytes,
                                     const std::string& path) {
-  const std::uint64_t file_size = bytes.size();
-  if (file_size < kHeaderBytes + kFooterBytes)
-    return DataLossError("load_model: file too small to be a snapshot: " +
-                         path);
+  auto payload = open_sealed(bytes, kSnapshotMagic, kSnapshotVersion,
+                             "load_model: " + path);
+  if (!payload.ok()) return payload.status();
 
-  ByteReader header(std::span(bytes.data(), kHeaderBytes));
-  char magic[4];
-  std::uint32_t version = 0;
-  std::uint64_t payload_bytes = 0;
-  if (!header.raw(magic, sizeof magic) || !header.u32(version) ||
-      !header.u64(payload_bytes))
-    return DataLossError("load_model: unreadable header in " + path);
-  if (std::memcmp(magic, kSnapshotMagic, sizeof magic) != 0)
-    return DataLossError("load_model: bad magic in " + path +
-                         " (not a model snapshot)");
-  if (version != kSnapshotVersion)
-    return DataLossError("load_model: unsupported snapshot version " +
-                         std::to_string(version) + " in " + path +
-                         " (this build reads version " +
-                         std::to_string(kSnapshotVersion) + ")");
-  if (payload_bytes != file_size - kHeaderBytes - kFooterBytes)
-    return DataLossError(
-        "load_model: size mismatch in " + path + " (header claims " +
-        std::to_string(payload_bytes) + " payload bytes, file holds " +
-        std::to_string(file_size - kHeaderBytes - kFooterBytes) +
-        ") — truncated or corrupted");
-
-  const std::uint8_t* payload = bytes.data() + kHeaderBytes;
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, payload + payload_bytes, sizeof stored_crc);
-  if (crc32(payload, static_cast<std::size_t>(payload_bytes)) != stored_crc)
-    return DataLossError("load_model: checksum mismatch in " + path +
-                         " — corrupted snapshot");
-
-  ByteReader r(std::span(payload, static_cast<std::size_t>(payload_bytes)));
+  ByteReader r(*payload);
   std::uint64_t dim = 0, n = 0, num_clusters = 0;
   double eps = 0.0;
   std::uint32_t min_pts = 0, flags = 0;

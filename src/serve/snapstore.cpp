@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <span>
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "common/crc32.hpp"
 #include "common/runguard.hpp"
 #include "common/vfs.hpp"
 #include "core/incremental.hpp"
 #include "core/wal.hpp"
-#include "serve/wire.hpp"
 
 namespace udb::serve {
 
@@ -66,17 +65,14 @@ StatusOr<std::uint64_t> read_manifest(const std::string& path) {
                          std::to_string(bytes->size()) + " bytes, expected " +
                          std::to_string(kManifestBytes));
   ByteReader r{std::span<const std::uint8_t>(*bytes)};
-  char magic[4];
-  std::uint32_t version = 0, stored_crc = 0;
+  if (Status s = read_magic_version(r, kManifestMagic, kManifestVersion,
+                                    "snapstore: manifest " + path);
+      !s.ok())
+    return s;
+  std::uint32_t stored_crc = 0;
   std::uint64_t gen = 0;
-  if (!r.raw(magic, sizeof magic) || !r.u32(version) || !r.u64(gen) ||
-      !r.u32(stored_crc) ||
-      std::memcmp(magic, kManifestMagic, sizeof magic) != 0)
-    return DataLossError("snapstore: manifest " + path + " is not a manifest");
-  if (version != kManifestVersion)
-    return DataLossError("snapstore: manifest " + path + " is version " +
-                         std::to_string(version) + ", this build reads " +
-                         std::to_string(kManifestVersion));
+  (void)r.u64(gen);  // in range: the size was checked above
+  (void)r.u32(stored_crc);
   if (crc32(bytes->data(), kManifestBytes - 4) != stored_crc)
     return DataLossError("snapstore: manifest " + path +
                          " fails its checksum — corrupted");

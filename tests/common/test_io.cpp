@@ -31,75 +31,84 @@ class IoTest : public ::testing::Test {
 
 TEST_F(IoTest, CsvRoundTrip) {
   Dataset ds = gen_uniform(50, 3, -10.0, 10.0, 1);
-  write_csv(ds, path("a.csv"));
-  Dataset back = read_csv(path("a.csv"));
-  ASSERT_EQ(back.size(), ds.size());
-  ASSERT_EQ(back.dim(), ds.dim());
-  for (std::size_t i = 0; i < ds.raw().size(); ++i)
-    EXPECT_DOUBLE_EQ(back.raw()[i], ds.raw()[i]);
+  ASSERT_TRUE(write_csv(ds, path("a.csv")).ok());
+  auto back = load_csv(path("a.csv"));
+  ASSERT_TRUE(back.ok()) << back.status().to_string();
+  ASSERT_EQ(back->size(), ds.size());
+  ASSERT_EQ(back->dim(), ds.dim());
+  // 17 significant digits: the text round trip is bit-exact.
+  EXPECT_EQ(back->raw(), ds.raw());
 }
 
 TEST_F(IoTest, CsvAcceptsWhitespaceAndComments) {
   std::ofstream out(path("b.csv"));
   out << "# header comment\n1.0 2.0\n\n3.0,4.0\n";
   out.close();
-  Dataset ds = read_csv(path("b.csv"));
-  EXPECT_EQ(ds.size(), 2u);
-  EXPECT_EQ(ds.dim(), 2u);
-  EXPECT_EQ(ds.coord(1, 1), 4.0);
+  auto ds = load_csv(path("b.csv"));
+  ASSERT_TRUE(ds.ok()) << ds.status().to_string();
+  EXPECT_EQ(ds->size(), 2u);
+  EXPECT_EQ(ds->dim(), 2u);
+  EXPECT_EQ(ds->coord(1, 1), 4.0);
 }
 
 TEST_F(IoTest, CsvRejectsInconsistentDim) {
   std::ofstream out(path("c.csv"));
   out << "1,2\n3,4,5\n";
   out.close();
-  EXPECT_THROW(read_csv(path("c.csv")), std::runtime_error);
+  EXPECT_EQ(load_csv(path("c.csv")).status().code(), StatusCode::kDataLoss);
 }
 
 TEST_F(IoTest, CsvRejectsMissingFile) {
-  EXPECT_THROW(read_csv(path("nope.csv")), std::runtime_error);
+  EXPECT_EQ(load_csv(path("nope.csv")).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(IoTest, CsvRejectsEmptyFile) {
   std::ofstream(path("empty.csv")).close();
-  EXPECT_THROW(read_csv(path("empty.csv")), std::runtime_error);
+  EXPECT_EQ(load_csv(path("empty.csv")).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST_F(IoTest, BinaryRoundTripBitExact) {
   Dataset ds = gen_blobs(200, 5, 3, 100.0, 2.0, 0.1, 7);
-  write_binary(ds, path("a.bin"));
-  Dataset back = read_binary(path("a.bin"));
-  EXPECT_EQ(back.dim(), ds.dim());
-  EXPECT_EQ(back.raw(), ds.raw());
+  ASSERT_TRUE(write_binary(ds, path("a.bin")).ok());
+  auto back = load_binary(path("a.bin"));
+  ASSERT_TRUE(back.ok()) << back.status().to_string();
+  EXPECT_EQ(back->dim(), ds.dim());
+  EXPECT_EQ(back->raw(), ds.raw());
 }
 
 TEST_F(IoTest, BinaryRejectsBadMagic) {
   std::ofstream out(path("bad.bin"), std::ios::binary);
   out << "XXXXGARBAGE";
   out.close();
-  EXPECT_THROW(read_binary(path("bad.bin")), std::runtime_error);
+  EXPECT_EQ(load_binary(path("bad.bin")).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST_F(IoTest, BinaryRejectsTruncation) {
   Dataset ds = gen_uniform(100, 2, 0.0, 1.0, 3);
-  write_binary(ds, path("t.bin"));
+  ASSERT_TRUE(write_binary(ds, path("t.bin")).ok());
   std::filesystem::resize_file(path("t.bin"), 64);
-  EXPECT_THROW(read_binary(path("t.bin")), std::runtime_error);
+  EXPECT_EQ(load_binary(path("t.bin")).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST_F(IoTest, CsvRejectsNonFiniteValues) {
   std::ofstream out(path("nf.csv"));
   out << "1.0,2.0\nnan,4.0\n";
   out.close();
-  EXPECT_THROW(read_csv(path("nf.csv")), std::runtime_error);
+  EXPECT_EQ(load_csv(path("nf.csv")).status().code(), StatusCode::kDataLoss);
   std::ofstream out2(path("inf.csv"));
   out2 << "1.0,inf\n";
   out2.close();
-  EXPECT_THROW(read_csv(path("inf.csv")), std::runtime_error);
+  EXPECT_EQ(load_csv(path("inf.csv")).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST_F(IoTest, BinaryRejectsOverflowingHeader) {
-  // dim * count * sizeof(double) overflows size_t: must throw, not allocate.
+  // dim * count * sizeof(double) overflows size_t: DATA_LOSS, not an
+  // allocation.
   std::ofstream out(path("ovf.bin"), std::ios::binary);
   out.write("UDB1", 4);
   const std::uint64_t dim = std::uint64_t{1} << 62;
@@ -107,7 +116,8 @@ TEST_F(IoTest, BinaryRejectsOverflowingHeader) {
   out.write(reinterpret_cast<const char*>(&dim), sizeof dim);
   out.write(reinterpret_cast<const char*>(&count), sizeof count);
   out.close();
-  EXPECT_THROW(read_binary(path("ovf.bin")), std::runtime_error);
+  EXPECT_EQ(load_binary(path("ovf.bin")).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST_F(IoTest, BinaryRejectsHeaderLargerThanFile) {
@@ -122,15 +132,17 @@ TEST_F(IoTest, BinaryRejectsHeaderLargerThanFile) {
   const double few[6] = {1, 2, 3, 4, 5, 6};
   out.write(reinterpret_cast<const char*>(few), sizeof few);
   out.close();
-  EXPECT_THROW(read_binary(path("big.bin")), std::runtime_error);
+  EXPECT_EQ(load_binary(path("big.bin")).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST_F(IoTest, BinaryEmptyDatasetRoundTrip) {
   Dataset ds = Dataset::empty(4);
-  write_binary(ds, path("e.bin"));
-  Dataset back = read_binary(path("e.bin"));
-  EXPECT_EQ(back.size(), 0u);
-  EXPECT_EQ(back.dim(), 4u);
+  ASSERT_TRUE(write_binary(ds, path("e.bin")).ok());
+  auto back = load_binary(path("e.bin"));
+  ASSERT_TRUE(back.ok()) << back.status().to_string();
+  EXPECT_EQ(back->size(), 0u);
+  EXPECT_EQ(back->dim(), 4u);
 }
 
 }  // namespace

@@ -105,7 +105,7 @@ TEST_F(IoQuarantineTest, AllRowsBadIsDataLossEvenInQuarantine) {
 TEST_F(IoQuarantineTest, BinaryRoundTripsThroughLoader) {
   const std::string p = path("round.bin");
   Dataset ds(2, {1.0, 2.0, 3.0, 4.0});
-  write_binary(ds, p);
+  ASSERT_TRUE(write_binary(ds, p).ok());
   ReadReport rep;
   auto r = load_binary(p, {}, &rep);
   ASSERT_TRUE(r.ok()) << r.status().to_string();
@@ -125,7 +125,7 @@ TEST_F(IoQuarantineTest, BinaryBadMagicIsDataLoss) {
 TEST_F(IoQuarantineTest, BinaryTruncatedTailQuarantines) {
   const std::string p = path("trunc.bin");
   Dataset ds(2, {1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
-  write_binary(ds, p);
+  ASSERT_TRUE(write_binary(ds, p).ok());
   // Chop the last row in half: 3 rows promised, 2.5 present.
   std::string bytes;
   {
@@ -159,7 +159,7 @@ TEST_F(IoQuarantineTest, BinaryNonFiniteRowQuarantines) {
     coords.push_back(1.0);
   }
   coords[21] = inf;  // poison row 10
-  write_binary(Dataset(2, std::move(coords)), p);
+  ASSERT_TRUE(write_binary(Dataset(2, std::move(coords)), p).ok());
 
   auto strict = load_binary(p);
   ASSERT_FALSE(strict.ok());
@@ -181,7 +181,7 @@ TEST_F(IoQuarantineTest, InjectedShortReadIsInvisibleToTheLoaders) {
   const std::string pb = path("shortread.bin");
   const std::string pc = path("shortread.csv");
   Dataset ds(2, {1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
-  write_binary(ds, pb);
+  ASSERT_TRUE(write_binary(ds, pb).ok());
   write_file(pc, "1,2\n3,4\n5,6\n");
 
   vfs::IoFaultPlan plan;
@@ -207,7 +207,7 @@ TEST_F(IoQuarantineTest, InjectedHardTruncationIsCleanDataLoss) {
   // shortened image is DATA_LOSS; it must never crash or return bogus rows.
   const std::string pb = path("hardtrunc.bin");
   Dataset ds(2, {1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
-  write_binary(ds, pb);
+  ASSERT_TRUE(write_binary(ds, pb).ok());
 
   vfs::IoFaultPlan plan;
   plan.read_truncate_rate = 1.0;

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -146,6 +148,60 @@ TEST(Incremental, DuplicatesAndSignedZeroEraseByEquality) {
   EXPECT_EQ(eng.size(), 3u);
   expect_matches_batch(eng, 1, "after bitwise erasures");
   ASSERT_NO_THROW(eng.check_invariants());
+}
+
+TEST(Incremental, EraseEqualMatchesLinearScan) {
+  // erase_equal finds its candidates through the centre index; a linear scan
+  // over every id ever inserted is the reference. Coordinates come from a
+  // small lattice with signed zeros, so histories are full of bitwise
+  // duplicates and of -0.0/+0.0 twins that sit at the same place but must
+  // not match each other; probes include absent and non-finite points.
+  const DbscanParams prm{0.8, 3};
+  constexpr std::size_t kDim = 2;
+  const double kValues[] = {-0.0, 0.0, 0.5, -1.0, 2.0, 0.3};
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::uint64_t seed : {3ULL, 11ULL, 42ULL}) {
+    Rng rng(seed);
+    IncrementalMuDbscan eng(kDim, prm);
+    std::vector<std::array<double, kDim>> coords;  // by id
+    std::vector<bool> alive;
+    auto lattice_point = [&] {
+      std::array<double, kDim> p{};
+      for (double& v : p) v = kValues[rng.uniform_index(std::size(kValues))];
+      return p;
+    };
+    auto linear_scan = [&](const std::array<double, kDim>& p) {
+      for (std::size_t id = 0; id < coords.size(); ++id)
+        if (alive[id] && std::memcmp(coords[id].data(), p.data(),
+                                     sizeof p) == 0)
+          return static_cast<PointId>(id);
+      return kInvalidPoint;
+    };
+    for (int op = 0; op < 600; ++op) {
+      const double roll = rng.next_double();
+      if (roll < 0.5) {
+        const std::array<double, kDim> p = lattice_point();
+        ASSERT_EQ(eng.insert(p), static_cast<PointId>(coords.size()));
+        coords.push_back(p);
+        alive.push_back(true);
+      } else if (roll < 0.6) {
+        std::array<double, kDim> p = lattice_point();
+        p[rng.uniform_index(kDim)] = rng.next_double() < 0.5 ? inf : nan;
+        ASSERT_EQ(eng.erase_equal(p), kInvalidPoint) << "seed " << seed;
+      } else {
+        const std::array<double, kDim> p = lattice_point();
+        const PointId want = linear_scan(p);
+        ASSERT_EQ(eng.erase_equal(p), want)
+            << "seed " << seed << " op " << op;
+        if (want != kInvalidPoint) alive[want] = false;
+      }
+    }
+    for (std::size_t id = 0; id < coords.size(); ++id)
+      ASSERT_EQ(eng.alive(static_cast<PointId>(id)), alive[id]) << id;
+    ASSERT_NO_THROW(eng.check_invariants());
+    expect_matches_batch(eng, 1, "after erase_equal history");
+  }
 }
 
 TEST(Incremental, DegenerateAllCoincidentPoints) {

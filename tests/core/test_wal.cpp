@@ -12,10 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/crc32.hpp"
 #include "common/runguard.hpp"
 #include "common/vfs.hpp"
-#include "serve/wire.hpp"
 
 namespace udb {
 namespace {
@@ -193,11 +193,11 @@ TEST_F(WalTest, NonFiniteInsertRecordEndsThePrefix) {
   }
   auto bytes = vfs::read_file(p);
   ASSERT_TRUE(bytes.ok());
-  serve::ByteWriter file;
+  ByteWriter file;
   file.raw(bytes->data(), bytes->size());
   const auto append_record = [&](std::uint64_t start,
                                  const std::vector<double>& coords) {
-    serve::ByteWriter payload;
+    ByteWriter payload;
     payload.u8(static_cast<std::uint8_t>(WalRecordType::kInsert));
     payload.u64(start);
     payload.u64(coords.size() / 2);
@@ -423,12 +423,12 @@ TEST_F(WalTest, Version1HeaderIsDataLoss) {
   // A version-1 log: 16-byte header (no epoch) and one untyped record
   // (u64 start | u64 count | coords). Neither the reader nor the writer
   // accepts it.
-  serve::ByteWriter file;
+  ByteWriter file;
   file.raw(kWalMagic, sizeof kWalMagic);
   file.u32(1);
   file.u64(2);  // dim
   const auto pts = points(2, 7.0);
-  serve::ByteWriter payload;
+  ByteWriter payload;
   payload.u64(5);  // start_index
   payload.u64(2);  // count
   payload.raw(pts.data(), pts.size() * sizeof(double));

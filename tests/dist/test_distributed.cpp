@@ -158,13 +158,20 @@ TEST(Distributed, StatsArePopulated) {
 
 TEST(Distributed, VirtualMakespanShrinksWithRanks) {
   // The virtual-time model must show parallel benefit for the local compute
-  // phases: per-rank clustering time at p=8 should be well below p=1.
+  // phases: per-rank clustering time at p=8 should be well below p=1. The
+  // measured times of one run move with the host's load, so they are summed
+  // over three runs at each rank count.
   Dataset ds = gen_galaxy(4000, GalaxyConfig{}, 59);
   const DbscanParams prm{1.2, 5};
-  MuDbscanDStats s1, s8;
-  (void)mudbscan_d(ds, prm, 1, &s1);
-  (void)mudbscan_d(ds, prm, 8, &s8);
-  EXPECT_LT(s8.t_cluster + s8.t_tree, (s1.t_cluster + s1.t_tree) * 0.8);
+  double t1 = 0.0, t8 = 0.0;
+  for (int run = 0; run < 3; ++run) {
+    MuDbscanDStats s1, s8;
+    (void)mudbscan_d(ds, prm, 1, &s1);
+    (void)mudbscan_d(ds, prm, 8, &s8);
+    t1 += s1.t_cluster + s1.t_tree;
+    t8 += s8.t_cluster + s8.t_tree;
+  }
+  EXPECT_LT(t8, t1 * 0.8);
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include "serve/netfault.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
-#include "serve/wire.hpp"
 
 namespace udb {
 namespace {

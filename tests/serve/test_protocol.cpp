@@ -12,7 +12,7 @@
 #include <limits>
 #include <vector>
 
-#include "serve/wire.hpp"
+#include "common/bytes.hpp"
 
 namespace udb {
 namespace {
@@ -87,7 +87,7 @@ TEST(ProtocolRequestTest, GarbageBodiesAreRejectedCleanly) {
 
   // Unknown message type.
   {
-    serve::ByteWriter w;
+    ByteWriter w;
     w.u8(0xEE);
     EXPECT_FALSE(serve::decode_request(w.data(), out).ok());
   }
@@ -95,7 +95,7 @@ TEST(ProtocolRequestTest, GarbageBodiesAreRejectedCleanly) {
   // Classify claiming 2^32-1 points with no coordinate bytes behind it:
   // must be rejected before any allocation proportional to the claim.
   {
-    serve::ByteWriter w;
+    ByteWriter w;
     w.u8(static_cast<std::uint8_t>(serve::MsgType::kClassify));
     w.u32(0xFFFFFFFFu);
     w.u32(3);
@@ -104,7 +104,7 @@ TEST(ProtocolRequestTest, GarbageBodiesAreRejectedCleanly) {
 
   // Batch above the hard cap, with plausible-looking sizes.
   {
-    serve::ByteWriter w;
+    ByteWriter w;
     w.u8(static_cast<std::uint8_t>(serve::MsgType::kClassify));
     w.u32(serve::kMaxBatchPoints + 1);
     w.u32(1);
@@ -113,7 +113,7 @@ TEST(ProtocolRequestTest, GarbageBodiesAreRejectedCleanly) {
 
   // Truncated classify coordinates.
   {
-    serve::ByteWriter w;
+    ByteWriter w;
     w.u8(static_cast<std::uint8_t>(serve::MsgType::kClassify));
     w.u32(2);
     w.u32(2);
@@ -123,7 +123,7 @@ TEST(ProtocolRequestTest, GarbageBodiesAreRejectedCleanly) {
 
   // Non-finite classify coordinate.
   {
-    serve::ByteWriter w;
+    ByteWriter w;
     w.u8(static_cast<std::uint8_t>(serve::MsgType::kClassify));
     w.u32(1);
     w.u32(1);
@@ -133,7 +133,7 @@ TEST(ProtocolRequestTest, GarbageBodiesAreRejectedCleanly) {
 
   // Non-finite neighbors radius.
   {
-    serve::ByteWriter w;
+    ByteWriter w;
     w.u8(static_cast<std::uint8_t>(serve::MsgType::kNeighbors));
     w.f64(std::numeric_limits<double>::infinity());
     w.u32(1);
@@ -143,7 +143,7 @@ TEST(ProtocolRequestTest, GarbageBodiesAreRejectedCleanly) {
 
   // Ping with trailing junk.
   {
-    serve::ByteWriter w;
+    ByteWriter w;
     w.u8(static_cast<std::uint8_t>(serve::MsgType::kPing));
     w.u64(0x0123456789ABCDEFull);
     EXPECT_FALSE(serve::decode_request(w.data(), out).ok());
@@ -151,7 +151,7 @@ TEST(ProtocolRequestTest, GarbageBodiesAreRejectedCleanly) {
 
   // Truncated point_info (type byte only).
   {
-    serve::ByteWriter w;
+    ByteWriter w;
     w.u8(static_cast<std::uint8_t>(serve::MsgType::kPointInfo));
     EXPECT_FALSE(serve::decode_request(w.data(), out).ok());
   }
@@ -159,7 +159,7 @@ TEST(ProtocolRequestTest, GarbageBodiesAreRejectedCleanly) {
   // Pseudo-random byte soup at several lengths.
   std::uint32_t x = 0x9E3779B9u;
   for (int len : {1, 2, 7, 33, 256}) {
-    serve::ByteWriter w;
+    ByteWriter w;
     for (int k = 0; k < len; ++k) {
       x = x * 1664525u + 1013904223u;
       w.u8(static_cast<std::uint8_t>(x >> 24));

@@ -15,11 +15,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "core/mudbscan.hpp"
 #include "data/generators.hpp"
 #include "serve/client.hpp"
 #include "serve/snapshot.hpp"
-#include "serve/wire.hpp"
 
 namespace udb {
 namespace {
@@ -158,19 +158,19 @@ TEST_F(QueryServerTest, GarbageFramesGetErrorsAndTheServerSurvives) {
   // absurd batch claim, byte soup, truncated body, valid type + trailing junk.
   std::vector<std::vector<std::uint8_t>> frames;
   {
-    serve::ByteWriter w;
+    ByteWriter w;
     w.u8(0xEE);
     frames.push_back(w.take());
   }
   {
-    serve::ByteWriter w;
+    ByteWriter w;
     w.u8(2);
     w.u32(0xFFFFFFFFu);
     w.u32(3);
     frames.push_back(w.take());
   }
   {
-    serve::ByteWriter w;
+    ByteWriter w;
     std::uint32_t x = 0xC0FFEE;
     for (int k = 0; k < 48; ++k) {
       x = x * 1664525u + 1013904223u;
@@ -179,12 +179,12 @@ TEST_F(QueryServerTest, GarbageFramesGetErrorsAndTheServerSurvives) {
     frames.push_back(w.take());
   }
   {
-    serve::ByteWriter w;
+    ByteWriter w;
     w.u8(4);
     frames.push_back(w.take());
   }
   {
-    serve::ByteWriter w;
+    ByteWriter w;
     w.u8(1);
     w.u64(0xDEADBEEFull);
     frames.push_back(w.take());

@@ -87,10 +87,14 @@ int main(int argc, char** argv) {
 
     if (out_path.empty())
       throw std::invalid_argument("--out is required");
-    if (ends_with(out_path, ".bin"))
-      write_binary(data, out_path);
-    else
-      write_csv(data, out_path);
+    const Status st = ends_with(out_path, ".bin")
+                          ? write_binary(data, out_path)
+                          : write_csv(data, out_path);
+    if (!st.ok()) {
+      std::fprintf(stderr, "make_dataset: error: %s\n",
+                   st.to_string().c_str());
+      return 1;
+    }
     std::printf("wrote %zu points x %zu dims to %s\n", data.size(), data.dim(),
                 out_path.c_str());
     return 0;

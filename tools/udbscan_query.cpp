@@ -34,12 +34,12 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/cli.hpp"
 #include "common/io.hpp"
 #include "common/vfs.hpp"
 #include "serve/classify_csv.hpp"
 #include "serve/client.hpp"
-#include "serve/wire.hpp"
 
 using namespace udb;
 
@@ -61,7 +61,7 @@ std::vector<double> parse_coords(const std::string& csv) {
 // Deterministic garbage generator: frame bodies that must never crash the
 // server — random-looking bytes, truncated classify headers, absurd counts.
 std::vector<std::uint8_t> garbage_frame(int i) {
-  serve::ByteWriter w;
+  ByteWriter w;
   switch (i % 5) {
     case 0:  // unknown message type
       w.u8(0xEE);
