@@ -1,7 +1,8 @@
 // Axis-aligned bounding box (the R-tree literature's MBR) in d dimensions.
 //
 // Boxes are the only geometric primitive the spatial indexes need: point
-// containment, box-box overlap and box-ball overlap (for eps-region queries).
+// containment, box-box overlap and the point-box distance that decides
+// box-ball overlap (for eps-region queries).
 
 #pragma once
 
@@ -59,23 +60,6 @@ class Box {
       : lo_(dim, std::numeric_limits<double>::infinity()),
         hi_(dim, -std::numeric_limits<double>::infinity()) {}
 
-  // A degenerate box covering exactly one point.
-  static Box from_point(std::span<const double> p) {
-    Box b(p.size());
-    for (std::size_t k = 0; k < p.size(); ++k) b.lo_[k] = b.hi_[k] = p[k];
-    return b;
-  }
-
-  // The ball's bounding box: [c - r, c + r] per axis.
-  static Box from_ball(std::span<const double> center, double radius) {
-    Box b(center.size());
-    for (std::size_t k = 0; k < center.size(); ++k) {
-      b.lo_[k] = center[k] - radius;
-      b.hi_[k] = center[k] + radius;
-    }
-    return b;
-  }
-
   [[nodiscard]] std::size_t dim() const noexcept { return lo_.size(); }
   [[nodiscard]] double lo(std::size_t k) const noexcept { return lo_[k]; }
   [[nodiscard]] double hi(std::size_t k) const noexcept { return hi_[k]; }
@@ -99,14 +83,6 @@ class Box {
     }
   }
 
-  // Grows the box by `margin` on every side (the paper's eps-extended MBR).
-  void inflate(double margin) noexcept {
-    for (std::size_t k = 0; k < dim(); ++k) {
-      lo_[k] -= margin;
-      hi_[k] += margin;
-    }
-  }
-
   [[nodiscard]] bool contains(std::span<const double> p) const noexcept {
     for (std::size_t k = 0; k < dim(); ++k)
       if (p[k] < lo_[k] || p[k] > hi_[k]) return false;
@@ -124,11 +100,6 @@ class Box {
   // `p` intersects the box iff min_sq_dist(p) <= eps^2.
   [[nodiscard]] double min_sq_dist(std::span<const double> p) const noexcept {
     return box_min_sq_dist(lo_.data(), hi_.data(), p.data(), dim());
-  }
-
-  [[nodiscard]] bool overlaps_ball(std::span<const double> center,
-                                   double radius) const noexcept {
-    return min_sq_dist(center) <= radius * radius;
   }
 
  private:

@@ -13,8 +13,25 @@
 namespace udb {
 
 namespace {
+
 constexpr std::array<char, 4> kMagic = {'U', 'D', 'B', '1'};
+
+// The quarantine verdict: DATA_LOSS once more than kMaxSkipFraction of the
+// rows seen were skipped.
+Status check_skip_fraction(const ReadReport& rep, const char* loader,
+                           const std::string& path) {
+  const std::size_t total = rep.rows_read + rep.rows_skipped;
+  if (rep.rows_skipped == 0 ||
+      static_cast<double>(rep.rows_skipped) <=
+          kMaxSkipFraction * static_cast<double>(total))
+    return Status::Ok();
+  return DataLossError(std::string(loader) + ": quarantined " +
+                       std::to_string(rep.rows_skipped) + " of " +
+                       std::to_string(total) + " rows in " + path +
+                       " (over the 1% limit)");
 }
+
+}  // namespace
 
 Status write_csv(const Dataset& ds, const std::string& path) {
   std::ostringstream out;
@@ -89,14 +106,8 @@ StatusOr<Dataset> load_csv(const std::string& path, const ReadOptions& opts,
   }
   if (dim == 0)
     return DataLossError("load_csv: no valid data rows in " + path);
-  const std::size_t total = rep.rows_read + rep.rows_skipped;
-  if (rep.rows_skipped > 0 &&
-      static_cast<double>(rep.rows_skipped) >
-          opts.max_skip_fraction * static_cast<double>(total))
-    return DataLossError(
-        "load_csv: quarantined " + std::to_string(rep.rows_skipped) + " of " +
-        std::to_string(total) + " rows in " + path +
-        " (over max_skip_fraction)");
+  if (Status s = check_skip_fraction(rep, "load_csv", path); !s.ok())
+    return s;
   if (report) *report = rep;
   return Dataset(dim, std::move(coords));
 }
@@ -161,14 +172,8 @@ StatusOr<Dataset> load_binary(const std::string& path, const ReadOptions& opts,
     coords.insert(coords.end(), row.begin(), row.end());
     ++rep.rows_read;
   }
-  const std::size_t total = rep.rows_read + rep.rows_skipped;
-  if (rep.rows_skipped > 0 &&
-      static_cast<double>(rep.rows_skipped) >
-          opts.max_skip_fraction * static_cast<double>(total))
-    return DataLossError(
-        "load_binary: quarantined " + std::to_string(rep.rows_skipped) +
-        " of " + std::to_string(total) + " rows in " + path +
-        " (over max_skip_fraction)");
+  if (Status s = check_skip_fraction(rep, "load_binary", path); !s.ok())
+    return s;
   if (report) *report = rep;
   return Dataset(static_cast<std::size_t>(dim), std::move(coords));
 }

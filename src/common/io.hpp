@@ -32,12 +32,13 @@ namespace udb {
 // `quarantine` set, a bad row — non-finite coordinate, unparseable token,
 // wrong arity, or a truncated binary tail — is skipped and counted rather
 // than fatal; the load still fails (DATA_LOSS) when more than
-// `max_skip_fraction` of the rows had to be dropped, because at that point
-// the file is garbage, not a file with a few bad rows.
+// kMaxSkipFraction of the rows had to be dropped, because at that point the
+// file is garbage, not a file with a few bad rows.
+
+inline constexpr double kMaxSkipFraction = 0.01;  // of total rows seen
 
 struct ReadOptions {
   bool quarantine = false;
-  double max_skip_fraction = 0.01;  // of total rows seen; only in quarantine
 };
 
 struct ReadReport {

@@ -341,7 +341,7 @@ Status write_text_file(const std::string& path, const std::string& text) {
 }
 
 Status write_file_atomic(const std::string& path, const void* data,
-                         std::size_t n, bool durable) {
+                         std::size_t n) {
   const std::string tmp = path + ".tmp";
   auto cleanup = [&tmp](Status s) {
     (void)remove_file(tmp);
@@ -353,18 +353,15 @@ Status write_file_atomic(const std::string& path, const void* data,
     (void)f->close();
     return cleanup(std::move(s));
   }
-  if (durable) {
-    if (Status s = f->sync(); !s.ok()) {
-      (void)f->close();
-      return cleanup(std::move(s));
-    }
+  if (Status s = f->sync(); !s.ok()) {
+    (void)f->close();
+    return cleanup(std::move(s));
   }
   if (Status s = f->close(); !s.ok()) return cleanup(std::move(s));
   if (Status s = rename_file(tmp, path); !s.ok()) return cleanup(std::move(s));
   // The rename has landed; a dir-fsync failure no longer rolls it back, but
   // the caller must know the publish may not survive power loss.
-  if (durable) return fsync_parent_dir(path);
-  return Status::Ok();
+  return fsync_parent_dir(path);
 }
 
 // ---- directory / metadata ops --------------------------------------------

@@ -160,12 +160,9 @@ class File {
 
 // The full crash-safe discipline: write `path`.tmp, fsync it, close it,
 // rename over `path`, fsync the parent directory. Any failure removes the
-// tmp file and leaves whatever was at `path` untouched. `durable` = false
-// skips the two fsyncs (for tests and non-critical artifacts that still want
-// atomic replace).
+// tmp file and leaves whatever was at `path` untouched.
 [[nodiscard]] Status write_file_atomic(const std::string& path,
-                                       const void* data, std::size_t n,
-                                       bool durable = true);
+                                       const void* data, std::size_t n);
 
 // ---- directory / metadata ops --------------------------------------------
 

@@ -27,9 +27,6 @@ StatusOr<GuardedRunReport> run_guarded(const Dataset& ds,
     return InvalidArgumentError("run_guarded: min_pts must be >= 1");
   if (opts.ranks < 1)
     return InvalidArgumentError("run_guarded: ranks must be >= 1");
-  if (opts.on_budget == OnBudget::kDegrade &&
-      (!(opts.degrade_rho > 0.0) || opts.degrade_rho > 1.0))
-    return InvalidArgumentError("run_guarded: degrade_rho must be in (0, 1]");
 
   RunGuard local_guard;
   RunGuard* guard = external_guard ? external_guard : &local_guard;
@@ -57,9 +54,6 @@ StatusOr<GuardedRunReport> run_guarded(const Dataset& ds,
   MuDbscanConfig mu = opts.mu;
   mu.guard = guard;
   mu.metrics = &run_metrics;
-  mu.deadline_seconds = 0.0;  // the shared guard carries the limits
-  mu.mem_budget_bytes = 0;
-  mu.on_budget = OnBudget::kFail;  // engines always fail; we degrade here
 
   Status failure;
   try {
@@ -101,15 +95,15 @@ StatusOr<GuardedRunReport> run_guarded(const Dataset& ds,
   // rerun approximately, and flag the result.
   obs::LogLine(obs::LogLevel::kWarn, "guarded_run", "degrading")
       .kv("reason", failure.message())
-      .kv("rho", opts.degrade_rho)
+      .kv("rho", kDegradeRho)
       .kv("elapsed_s", seconds_since(t0));
   guard->enter_degraded_mode();
   try {
     SampledDbscanStats sstats;
-    rep.result = sampled_dbscan(ds, params, opts.degrade_rho,
-                                opts.degrade_seed, &sstats, guard);
+    rep.result =
+        sampled_dbscan(ds, params, kDegradeRho, kDegradeSeed, &sstats, guard);
     rep.approximate = true;
-    rep.sample_rho = opts.degrade_rho;
+    rep.sample_rho = kDegradeRho;
     rep.sample_size = sstats.sample_size;
     rep.degrade_reason = failure;
     rep.metrics = run_metrics.snapshot();  // counts from the abandoned run

@@ -8,9 +8,10 @@
 // Degradation contract (docs/ROBUSTNESS.md): when the exact run trips its
 // deadline or budget and the policy is OnBudget::kDegrade, the guard enters
 // degraded mode (limits dropped, cancel token kept) and the run falls back to
-// sampled_dbscan on the same data. The report is then explicitly flagged
-// `approximate` with the achieved sample rate — a degraded result is never
-// silently passed off as exact. User cancellation (SIGINT) never degrades:
+// sampled_dbscan on the same data, at the fixed rate kDegradeRho and seed
+// kDegradeSeed, so one input always degrades to one answer. The report is
+// then explicitly flagged `approximate` with the achieved sample rate — a
+// degraded result is never silently passed off as exact. User cancellation (SIGINT) never degrades:
 // the user asked for the run to stop, not for a worse answer.
 
 #pragma once
@@ -29,13 +30,15 @@
 
 namespace udb {
 
+// The degraded fallback's sampling rate and seed.
+inline constexpr double kDegradeRho = 0.25;
+inline constexpr std::uint64_t kDegradeSeed = 1;
+
 struct GuardedRunOptions {
   RunLimits limits;                     // deadline / memory budget (0 = none)
   OnBudget on_budget = OnBudget::kFail; // policy when a limit trips
-  double degrade_rho = 0.25;            // sampling rate of the fallback
-  std::uint64_t degrade_seed = 1;       // fallback sampling seed
   MuDbscanConfig mu;    // engine knobs (num_threads, ablations); guard and
-                        // limit fields are overwritten by run_guarded
+                        // metrics are overwritten by run_guarded
   int ranks = 1;        // > 1: run the distributed driver on this many ranks
 };
 

@@ -73,18 +73,9 @@ MuDbscanEngine::MuDbscanEngine(const Dataset& ds, const DbscanParams& params,
     throw std::invalid_argument("MuDbscan: MinPts must be >= 1");
   const std::size_t n = ds.size();
 
-  // Run-guard setup: an external guard is shared (distributed ranks all point
-  // at the run's guard); limits without a guard get an engine-owned one.
-  guard_ = cfg_.guard;
-  if (guard_ == nullptr &&
-      (cfg_.deadline_seconds > 0.0 || cfg_.mem_budget_bytes > 0)) {
-    owned_guard_ = std::make_unique<RunGuard>(
-        RunLimits{cfg_.deadline_seconds, cfg_.mem_budget_bytes});
-    guard_ = owned_guard_.get();
-  }
   // Per-point flag vectors (4 bytes) + the union-find parent array.
-  if (guard_)
-    flags_charge_.acquire_throw(guard_, n * (4 + sizeof(PointId)),
+  if (cfg_.guard)
+    flags_charge_.acquire_throw(cfg_.guard, n * (4 + sizeof(PointId)),
                                 "engine flags + union-find");
 
   is_core_.assign(n, 0);
@@ -106,7 +97,7 @@ void MuDbscanEngine::build_tree() {
   WallTimer timer;
   MuRTree::Config tcfg;
   tcfg.two_eps_rule = cfg_.two_eps_rule;
-  tcfg.guard = guard_;
+  tcfg.guard = cfg_.guard;
   tcfg.tracer = cfg_.tracer;
   tree_ = std::make_unique<MuRTree>(*ds_, params_.eps, tcfg, pool_.get());
   tree_->compute_inner_circles(pool_.get());
@@ -207,7 +198,7 @@ void MuDbscanEngine::cluster() {
         }
         acc[tid].tally.merge(t);
       },
-      guard_);
+      cfg_.guard);
   alg4_span.end();
 
   // --- Algorithm 6: PROCESS-REM-POINTS ----------------------------------
@@ -245,8 +236,8 @@ void MuDbscanEngine::cluster() {
             }
             // A guarded run checks at every chunk of MCs and, so one large
             // MC cannot delay a cancellation, every kAlg6QueryCheck queries.
-            if (++t.queries % kAlg6QueryCheck == 0 && guard_)
-              guard_->check_throw("mudbscan algorithm 6");
+            if (++t.queries % kAlg6QueryCheck == 0 && cfg_.guard)
+              cfg_.guard->check_throw("mudbscan algorithm 6");
 
             // p's neighbours: ids[hits[h]] at squared distance d2[hits[h]],
             // h < nh, grouped by reach MC in the block's order.
@@ -364,14 +355,14 @@ void MuDbscanEngine::cluster() {
         tree_->publish_counts(block);
         a.tally.merge(t);
       },
-      guard_);
+      cfg_.guard);
   alg6_span.end();
 
   // Per-thread scratch is the phase's hidden allocation: charge its actual
   // footprint while it coexists with the merged engine buffers, then let it
   // go out of scope (the ScopedCharge releases with it).
   ScopedCharge thread_scratch;
-  if (guard_) {
+  if (cfg_.guard) {
     std::size_t scratch_bytes = 0;
     for (const Accum& a : acc)
       scratch_bytes += vector_bytes(a.noise_pts) + vector_bytes(a.noise_off) +
@@ -379,7 +370,7 @@ void MuDbscanEngine::cluster() {
                        vector_bytes(a.block.coords) +
                        vector_bytes(a.block.d2) + vector_bytes(a.block.hits) +
                        vector_bytes(a.block.mcs) + vector_bytes(a.block.mc_end);
-    thread_scratch.acquire_throw(guard_, scratch_bytes,
+    thread_scratch.acquire_throw(cfg_.guard, scratch_bytes,
                                  "per-thread scratch buffers");
   }
 
@@ -427,9 +418,9 @@ void MuDbscanEngine::cluster() {
 }
 
 void MuDbscanEngine::charge_scratch() {
-  if (!guard_) return;
+  if (!cfg_.guard) return;
   scratch_charge_.acquire_throw(
-      guard_,
+      cfg_.guard,
       vector_bytes(noise_pts_) + vector_bytes(noise_off_) +
           vector_bytes(noise_nbrs_),
       "engine noise CSR");
@@ -478,7 +469,8 @@ void MuDbscanEngine::post_process() {
   // make a skip a stale negative (a redundant check).
   obs::Span alg7_span(cfg_.tracer, "alg7.post_core");
   ScopedCharge work_charge;
-  work_charge.acquire_throw(guard_, stats.wndq_core_points * sizeof(PointId),
+  work_charge.acquire_throw(cfg_.guard,
+                            stats.wndq_core_points * sizeof(PointId),
                             "algorithm 7 worklist");
   std::vector<PointId> work;
   work.reserve(stats.wndq_core_points);
@@ -542,7 +534,7 @@ void MuDbscanEngine::post_process() {
           run = run_end;
         }
       },
-      guard_);
+      cfg_.guard);
   alg7_span.end();
 
   // --- Algorithm 8: POST-PROCESSING-NOISE -------------------------------
@@ -569,7 +561,7 @@ void MuDbscanEngine::post_process() {
           }
         }
       },
-      guard_);
+      cfg_.guard);
   alg8_span.end();
 
   std::uint64_t unions = 0, repaired = 0;

@@ -61,19 +61,15 @@ struct MuDbscanConfig {
   // µR-tree build.* spans when set; null costs one branch per span site.
   obs::Tracer* tracer = nullptr;
 
-  // ---- run-guard limits (docs/ROBUSTNESS.md) -----------------------------
-  // When a limit is set (or `guard` is supplied) the engine runs cooperative
-  // checkpoints in every phase; a violation aborts the run with a
-  // StatusError carrying DEADLINE_EXCEEDED / RESOURCE_EXHAUSTED / CANCELLED
-  // and all memory is reclaimed on unwind. `on_budget` is the policy the
-  // guarded entry point (core/guarded_run.*) applies on exhaustion; the
-  // engine itself always fails cleanly and leaves degradation to the caller.
-  double deadline_seconds = 0.0;        // <= 0: none
-  std::size_t mem_budget_bytes = 0;     // 0: none
-  OnBudget on_budget = OnBudget::kFail;
-  // External guard (not owned). Supplying one shares a deadline/budget/token
-  // across engines (each distributed rank's engine shares the run's guard);
-  // when null and a limit above is set, the engine owns a private guard.
+  // ---- run guard (docs/ROBUSTNESS.md) ------------------------------------
+  // External guard (not owned). When set, the engine runs cooperative
+  // checkpoints in every phase and charges its allocations; a violation
+  // aborts the run with a StatusError carrying DEADLINE_EXCEEDED /
+  // RESOURCE_EXHAUSTED / CANCELLED and all memory is reclaimed on unwind.
+  // The engine always fails cleanly; the guarded entry point
+  // (core/guarded_run.*) owns the limits and any degradation. Sharing one
+  // guard across engines (each distributed rank's engine points at the
+  // run's guard) shares one deadline/budget/token.
   RunGuard* guard = nullptr;
 };
 

@@ -66,10 +66,6 @@ class MuDbscanEngine {
     return assigned_;
   }
 
-  // The run guard governing this engine: the external cfg.guard when one was
-  // supplied, the engine-owned guard when cfg limits are set, else null.
-  [[nodiscard]] RunGuard* guard() const noexcept { return guard_; }
-
   // Merged view of the engine's per-thread metric shards (obs/metrics.hpp):
   // the query-avoidance ledger, µR-tree internals, histograms. Complete
   // after post_process(); safe to call between phases for a partial view.
@@ -99,8 +95,6 @@ class MuDbscanEngine {
   const Dataset* ds_;
   DbscanParams params_;
   MuDbscanConfig cfg_;
-  std::unique_ptr<RunGuard> owned_guard_;  // set when cfg carries limits only
-  RunGuard* guard_ = nullptr;              // cfg.guard or owned_guard_.get()
   ScopedCharge flags_charge_;              // flag vectors + union-find
   ScopedCharge scratch_charge_;            // noise CSR (trued up)
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1

@@ -266,7 +266,7 @@ Status WalWriter::emit_record(WalRecordType type, std::uint64_t start_index,
   }
 
   Status s = file_.write(frame.data().data(), frame.size());
-  if (s.ok() && cfg_.sync_each_append) s = file_.sync();
+  if (s.ok()) s = file_.sync();
   if (!s.ok()) {
     // The on-disk tail is now suspect (possibly torn). Fail the writer hard;
     // reopening trims the tail back to the committed prefix.

@@ -60,8 +60,7 @@ inline constexpr std::size_t kWalHeaderBytes = 4 + 4 + 8 + 8;
 enum class WalRecordType : std::uint8_t { kInsert = 0, kTombstone = 1 };
 
 struct WalConfig {
-  bool sync_each_append = true;  // fsync per record: the durability floor
-  RunGuard* guard = nullptr;     // not owned; charged for appended bytes
+  RunGuard* guard = nullptr;  // not owned; charged for appended bytes
 };
 
 class WalWriter {

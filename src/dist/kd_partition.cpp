@@ -11,6 +11,9 @@ namespace udb {
 
 namespace {
 
+// First of the user tags the point exchanges use (two per halving round).
+constexpr mpi::Tag kTagBase = 1000;
+
 // One rank's view of the recursive halving: current group is [base, base+g).
 struct Group {
   int base;
@@ -29,7 +32,7 @@ PartitionResult kd_partition(mpi::Comm& comm, std::size_t dim,
   const int me = comm.rank();
 
   Group grp{0, comm.size()};
-  mpi::Tag tag = cfg.tag_base;
+  mpi::Tag tag = kTagBase;
 
   while (grp.size > 1) {
     const int g_lo = grp.size / 2;

@@ -23,7 +23,6 @@ struct PartitionResult {
 
 struct PartitionConfig {
   std::size_t sample_per_rank = 128;
-  udb::mpi::Tag tag_base = 1000;  // user-tag range for the point exchanges
 };
 
 // Collective over the full communicator: every rank passes its initial block

@@ -14,40 +14,24 @@ namespace udb {
 namespace {
 
 // Leaf scans compute the whole block of squared distances into a stack
-// buffer before filtering; leaves larger than this (possible only with
-// unusually large Config::max_entries) fall back to a heap buffer.
+// buffer before filtering.
 constexpr std::size_t kLeafScanBuf = 512;
+static_assert(RTree::kFanout <= kLeafScanBuf,
+              "a leaf's distances fit the buffer");
 
-// Depth-first node stack for ball queries. A depth-first walk holds at most
-// about height * max_entries nodes: under 256 for any tree of up to 2^32
-// points at the default fan-out, so a query never touches the heap; deeper
-// or wider trees spill the excess into a vector. The spilled nodes are the
-// top of the stack (the inline part is full while any are spilled).
-template <class NodePtr>
-class NodeStack {
- public:
-  [[nodiscard]] bool empty() const noexcept {
-    return size_ == 0 && spill_.empty();
-  }
-  void push(NodePtr n) {
-    if (size_ < kInline)
-      inline_[size_++] = n;
-    else
-      spill_.push_back(n);
-  }
-  NodePtr pop() noexcept {
-    if (spill_.empty()) return inline_[--size_];
-    NodePtr n = spill_.back();
-    spill_.pop_back();
-    return n;
-  }
-
- private:
-  static constexpr std::size_t kInline = 256;
-  NodePtr inline_[kInline];
-  std::size_t size_ = 0;
-  std::vector<NodePtr> spill_;
-};
+// Depth-first node stack for ball queries. bulk_load_str takes fewer than
+// 2^32 points, so a tree has at most kMaxHeight levels, and a depth-first
+// walk holds at most kFanout - 1 siblings per level plus the node it is
+// expanding: the stack never outgrows a fixed array.
+constexpr std::size_t kMaxHeight = 8;
+constexpr std::size_t kNodeStack = 256;
+constexpr std::size_t fanout_pow(std::size_t e) {
+  return e == 0 ? 1 : RTree::kFanout * fanout_pow(e - 1);
+}
+static_assert(fanout_pow(kMaxHeight) >= (std::size_t{1} << 32),
+              "kMaxHeight levels hold 2^32 points");
+static_assert((RTree::kFanout - 1) * kMaxHeight + 1 <= kNodeStack,
+              "a ball query's depth-first stack fits kNodeStack");
 
 }  // namespace
 
@@ -71,10 +55,8 @@ struct RTree::Node {
   }
 };
 
-RTree::RTree(std::size_t dim, Config cfg) : dim_(dim), cfg_(cfg) {
+RTree::RTree(std::size_t dim) : dim_(dim) {
   if (dim_ == 0) throw std::invalid_argument("RTree: dim must be > 0");
-  if (cfg_.max_entries < 2)
-    throw std::invalid_argument("RTree: need max_entries >= 2");
   root_ = std::make_unique<Node>(dim_, /*leaf=*/true);
 }
 
@@ -85,7 +67,6 @@ RTree::~RTree() = default;
 // load/store of the counters is sufficient.
 RTree::RTree(RTree&& other) noexcept
     : dim_(other.dim_),
-      cfg_(other.cfg_),
       root_(std::move(other.root_)),
       count_(other.count_),
       dist_evals_(other.dist_evals_.load(std::memory_order_relaxed)),
@@ -96,7 +77,6 @@ RTree::RTree(RTree&& other) noexcept
 RTree& RTree::operator=(RTree&& other) noexcept {
   if (this != &other) {
     dim_ = other.dim_;
-    cfg_ = other.cfg_;
     root_ = std::move(other.root_);
     count_ = other.count_;
     dist_evals_.store(other.dist_evals_.load(std::memory_order_relaxed),
@@ -148,24 +128,19 @@ void RTree::visit_ball(std::span<const double> center, double radius,
   // Per-leaf squared distances land here; the filter pass then applies the
   // eps comparison and the visitor. Comparison results are identical to the
   // old point-at-a-time scan because the kernels are bit-exact vs scalar.
-  double stackbuf[kLeafScanBuf];
-  std::vector<double> heapbuf;
+  double buf[kLeafScanBuf];
 
   // Explicit stack to avoid recursion overhead on deep trees.
-  NodeStack<const Node*> stack;
-  stack.push(root_.get());
-  while (!stack.empty()) {
-    const Node* node = stack.pop();
+  const Node* stack[kNodeStack];
+  std::size_t top = 0;
+  stack[top++] = root_.get();
+  while (top > 0) {
+    const Node* node = stack[--top];
     ++evals.nodes;
     if (node->mbr.min_sq_dist(center) > r2) continue;
     if (node->is_leaf) {
       const std::size_t cnt = node->ids.size();
       if (cnt == 0) continue;
-      double* buf = stackbuf;
-      if (cnt > kLeafScanBuf) {
-        heapbuf.resize(cnt);
-        buf = heapbuf.data();
-      }
       sq_dist_block_soa(center.data(), node->block.data(), cnt, cnt, dim_,
                         buf);
       evals.local += cnt;
@@ -174,17 +149,18 @@ void RTree::visit_ball(std::span<const double> center, double radius,
         if (in && !fn(node->ids[i], buf[i])) return;
       }
     } else {
-      for (const auto& c : node->children) stack.push(c.get());
+      for (const auto& c : node->children) stack[top++] = c.get();
     }
   }
 }
 
 RTree RTree::bulk_load_str(
-    std::size_t dim, std::vector<std::pair<const double*, PointId>> items,
-    Config cfg) {
-  RTree tree(dim, cfg);
+    std::size_t dim, std::vector<std::pair<const double*, PointId>> items) {
+  RTree tree(dim);
   if (items.empty()) return tree;
-  const std::size_t cap = cfg.max_entries;
+  if (items.size() >= (std::size_t{1} << 32))
+    throw std::invalid_argument("RTree: need fewer than 2^32 items");
+  constexpr std::size_t cap = kFanout;
   str_tile(items.begin(), items.end(), 0, dim, cap,
            [](const auto& item, std::size_t axis) { return item.first[axis]; });
 
@@ -240,8 +216,7 @@ void RTree::query_knn(std::span<const double> center, std::size_t k,
   if (k == 0 || count_ == 0) return;
   EvalCounter evals{dist_evals_, node_visits_};
 
-  double stackbuf[kLeafScanBuf];
-  std::vector<double> heapbuf;
+  double buf[kLeafScanBuf];
 
   // Best-first search: a min-heap of (distance lower bound, node) frontier
   // entries plus a max-heap of the current k best points.
@@ -270,11 +245,6 @@ void RTree::query_knn(std::span<const double> center, std::size_t k,
     if (node->is_leaf) {
       const std::size_t cnt = node->ids.size();
       if (cnt == 0) continue;
-      double* buf = stackbuf;
-      if (cnt > kLeafScanBuf) {
-        heapbuf.resize(cnt);
-        buf = heapbuf.data();
-      }
       sq_dist_block_soa(center.data(), node->block.data(), cnt, cnt, dim_,
                         buf);
       evals.local += cnt;
@@ -348,9 +318,9 @@ void RTree::check_invariants() const {
     auto [node, is_root, depth] = stack.back();
     stack.pop_back();
 
-    // STR packing fills nodes to max_entries but may leave one short tail
-    // node per level.
-    if (node->entry_count() > cfg_.max_entries)
+    // STR packing fills nodes to kFanout but may leave one short tail node
+    // per level.
+    if (node->entry_count() > kFanout)
       throw std::logic_error("RTree: node overfull");
     if (!is_root && node->entry_count() == 0)
       throw std::logic_error("RTree: empty non-root node");

@@ -35,9 +35,9 @@ namespace udb {
 
 class RTree {
  public:
-  struct Config {
-    std::uint32_t max_entries = 16;  // entries per node, >= 2
-  };
+  // Entries per node. STR packing fills every node to this many, leaving at
+  // most one short tail node per level.
+  static constexpr std::size_t kFanout = 16;
 
   ~RTree();
   RTree(RTree&&) noexcept;
@@ -48,14 +48,9 @@ class RTree {
   // The one way to build a tree. STR packing: sorts the items into
   // fully-filled leaves tiled along successive axes (index/str.hpp), then
   // packs parent levels the same way, in O(n log n). Throws
-  // std::invalid_argument when dim is 0 or max_entries is below 2.
+  // std::invalid_argument when dim is 0 or there are 2^32 items or more.
   static RTree bulk_load_str(
-      std::size_t dim, std::vector<std::pair<const double*, PointId>> items) {
-    return bulk_load_str(dim, std::move(items), Config());
-  }
-  static RTree bulk_load_str(std::size_t dim,
-                             std::vector<std::pair<const double*, PointId>> items,
-                             Config cfg);
+      std::size_t dim, std::vector<std::pair<const double*, PointId>> items);
   // Every point of `ds`, under its index.
   static RTree bulk_load_str(const Dataset& ds);
 
@@ -118,10 +113,9 @@ class RTree {
  private:
   struct Node;
 
-  RTree(std::size_t dim, Config cfg);
+  explicit RTree(std::size_t dim);
 
   std::size_t dim_;
-  Config cfg_;
   std::unique_ptr<Node> root_;
   std::size_t count_ = 0;
   mutable std::atomic<std::uint64_t> dist_evals_{0};

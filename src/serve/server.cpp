@@ -381,7 +381,7 @@ Response QueryServer::handle_classify(
       cfg_.request_deadline_seconds > 0.0 ? &guard : nullptr;
 
   StatusOr<std::vector<Classify>> r = InternalError("unreached");
-  if (pool_ != nullptr && count >= cfg_.parallel_batch_threshold) {
+  if (pool_ != nullptr && count >= kParallelBatchThreshold) {
     // The pool runs one job at a time; concurrent connections take turns.
     std::lock_guard<std::mutex> lk(pool_mu_);
     r = model->classify_batch(req.coords, count, &metrics_, pool_.get(),

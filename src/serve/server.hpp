@@ -39,16 +39,19 @@
 
 namespace udb::serve {
 
+// Classify batches with at least this many points fan out over the server's
+// worker pool (when it has one); smaller batches classify inline.
+inline constexpr std::size_t kParallelBatchThreshold = 512;
+
 struct ServerConfig {
   std::uint16_t port = 0;  // 0 = kernel-assigned ephemeral port
   // Per-request wall-clock deadline enforced via a RunGuard on the classify
   // path (cooperative per-chunk checkpoints); 0 = none. A tripped deadline
   // answers DEADLINE_EXCEEDED and bumps serve_deadline_exceeded.
   double request_deadline_seconds = 0.0;
-  // Worker pool for large classify batches; <= 1 = classify inline.
+  // Worker pool for classify batches of at least kParallelBatchThreshold
+  // points; <= 1 = classify inline.
   unsigned pool_threads = 0;
-  // Batches with at least this many points fan out over the pool.
-  std::size_t parallel_batch_threshold = 512;
   obs::Tracer* tracer = nullptr;  // optional, not owned
   // Trace "process" id stamped on this server's spans (obs::set_trace_pid),
   // so a merged client + replicas Chrome trace renders each replica as its

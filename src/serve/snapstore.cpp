@@ -125,12 +125,12 @@ StatusOr<std::uint64_t> SnapshotStore::save(const ModelSnapshot& snap) {
   next += 1;
 
   Status s = vfs::write_file_atomic(generation_path(next), bytes->data(),
-                                    bytes->size(), cfg_.durable);
+                                    bytes->size());
   if (!s.ok()) return s;
 
   const std::vector<std::uint8_t> manifest = encode_manifest(next);
   s = vfs::write_file_atomic(dir_ + "/" + kManifestName, manifest.data(),
-                             manifest.size(), cfg_.durable);
+                             manifest.size());
   if (!s.ok()) return s;  // unpublished: the old manifest still governs
 
   // Retention, best effort: a failed unlink costs disk, never correctness.

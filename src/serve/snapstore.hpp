@@ -49,7 +49,6 @@ namespace udb::serve {
 
 struct SnapshotStoreConfig {
   std::size_t keep = 3;  // newest generations retained (>= 1)
-  bool durable = true;   // fsync discipline; false only for throwaway tests
 };
 
 class SnapshotStore {

@@ -19,8 +19,9 @@
 //   * find performs path halving with benign CAS shortcuts (thread-safe);
 //     the const overload is a pure read walk (wait-free, no compression),
 //     usable from const contexts such as result extraction.
-// Used single-threaded, the relaxed atomics compile to plain loads/stores,
-// so the sequential algorithms keep their previous cost profile.
+// Used single-threaded, the loads and stores compile to plain moves on
+// x86-64, but every path-halving shortcut and every link is still a
+// compare_exchange, which is a locked instruction even when uncontended.
 
 #pragma once
 

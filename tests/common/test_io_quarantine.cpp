@@ -27,6 +27,13 @@ class IoQuarantineTest : public ::testing::Test {
     std::ofstream out(p, std::ios::binary);
     out << content;
   }
+  // `n` valid 2-D CSV rows.
+  static std::string good_rows(int n) {
+    std::string content;
+    for (int i = 0; i < n; ++i)
+      content += std::to_string(i) + "," + std::to_string(i) + "\n";
+    return content;
+  }
 };
 
 TEST_F(IoQuarantineTest, MissingFileIsNotFound) {
@@ -60,31 +67,29 @@ TEST_F(IoQuarantineTest, BadRowWithoutQuarantineIsDataLoss) {
 }
 
 TEST_F(IoQuarantineTest, QuarantineSkipsAndReports) {
+  // 3 bad rows of 600 (0.5%) sit under the 1% limit.
   const std::string p = path("mixed.csv");
-  std::string content;
-  for (int i = 0; i < 100; ++i)
-    content += std::to_string(i) + "," + std::to_string(i) + "\n";
+  std::string content = good_rows(597);
   content += "nan,1\n";     // non-finite
   content += "1\n";          // short row
   content += "1,2,3\n";      // long row
   write_file(p, content);
   ReadOptions opts;
   opts.quarantine = true;
-  opts.max_skip_fraction = 0.05;
   ReadReport rep;
   auto r = load_csv(p, opts, &rep);
   ASSERT_TRUE(r.ok()) << r.status().to_string();
-  EXPECT_EQ(r->size(), 100u);
-  EXPECT_EQ(rep.rows_read, 100u);
+  EXPECT_EQ(r->size(), 597u);
+  EXPECT_EQ(rep.rows_read, 597u);
   EXPECT_EQ(rep.rows_skipped, 3u);
 }
 
 TEST_F(IoQuarantineTest, QuarantineFailsAboveSkipFraction) {
+  // 3 bad rows of 100 (3%) are over the 1% limit.
   const std::string p = path("mostly_bad.csv");
-  write_file(p, "1,2\nnan,1\nnan,2\nnan,3\n");
+  write_file(p, good_rows(97) + "nan,1\nnan,2\nnan,3\n");
   ReadOptions opts;
   opts.quarantine = true;
-  opts.max_skip_fraction = 0.5;
   auto r = load_csv(p, opts);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
@@ -96,7 +101,6 @@ TEST_F(IoQuarantineTest, AllRowsBadIsDataLossEvenInQuarantine) {
   write_file(p, "nan,1\nx,y\n");
   ReadOptions opts;
   opts.quarantine = true;
-  opts.max_skip_fraction = 1.0;
   auto r = load_csv(p, opts);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
@@ -124,9 +128,10 @@ TEST_F(IoQuarantineTest, BinaryBadMagicIsDataLoss) {
 
 TEST_F(IoQuarantineTest, BinaryTruncatedTailQuarantines) {
   const std::string p = path("trunc.bin");
-  Dataset ds(2, {1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
-  ASSERT_TRUE(write_binary(ds, p).ok());
-  // Chop the last row in half: 3 rows promised, 2.5 present.
+  std::vector<double> coords(2 * 200, 1.0);
+  ASSERT_TRUE(write_binary(Dataset(2, std::move(coords)), p).ok());
+  // Chop the last row in half: 200 rows promised, 199.5 present, and the
+  // one quarantined row (0.5%) is under the 1% limit.
   std::string bytes;
   {
     std::ifstream in(p, std::ios::binary);
@@ -142,11 +147,10 @@ TEST_F(IoQuarantineTest, BinaryTruncatedTailQuarantines) {
 
   ReadOptions opts;
   opts.quarantine = true;
-  opts.max_skip_fraction = 0.5;
   ReadReport rep;
   auto r = load_binary(p, opts, &rep);
   ASSERT_TRUE(r.ok()) << r.status().to_string();
-  EXPECT_EQ(r->size(), 2u);
+  EXPECT_EQ(r->size(), 199u);
   EXPECT_EQ(rep.rows_skipped, 1u);
 }
 
@@ -154,11 +158,11 @@ TEST_F(IoQuarantineTest, BinaryNonFiniteRowQuarantines) {
   const std::string p = path("nonfinite.bin");
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<double> coords;
-  for (int i = 0; i < 50; ++i) {
+  for (int i = 0; i < 200; ++i) {
     coords.push_back(static_cast<double>(i));
     coords.push_back(1.0);
   }
-  coords[21] = inf;  // poison row 10
+  coords[21] = inf;  // poison row 10: 1 of 200 rows (0.5%)
   ASSERT_TRUE(write_binary(Dataset(2, std::move(coords)), p).ok());
 
   auto strict = load_binary(p);
@@ -167,11 +171,10 @@ TEST_F(IoQuarantineTest, BinaryNonFiniteRowQuarantines) {
 
   ReadOptions opts;
   opts.quarantine = true;
-  opts.max_skip_fraction = 0.05;
   ReadReport rep;
   auto r = load_binary(p, opts, &rep);
   ASSERT_TRUE(r.ok()) << r.status().to_string();
-  EXPECT_EQ(r->size(), 49u);
+  EXPECT_EQ(r->size(), 199u);
   EXPECT_EQ(rep.rows_skipped, 1u);
 }
 

@@ -30,11 +30,6 @@ TEST(GuardedRun, RejectsBadArguments) {
   opts.ranks = 0;
   EXPECT_EQ(run_guarded(ds, small_params(), opts).status().code(),
             StatusCode::kInvalidArgument);
-  opts = {};
-  opts.on_budget = OnBudget::kDegrade;
-  opts.degrade_rho = 0.0;
-  EXPECT_EQ(run_guarded(ds, small_params(), opts).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(GuardedRun, UnlimitedRunIsExact) {
@@ -112,15 +107,32 @@ TEST(GuardedRun, DegradeFallsBackToSampledAndFlagsIt) {
     opts.mu.num_threads = nt;
     opts.limits.memory_budget_bytes = 32 * 1024;  // exact run cannot fit
     opts.on_budget = OnBudget::kDegrade;
-    opts.degrade_rho = 0.5;
     auto run = run_guarded(ds, small_params(), opts);
     ASSERT_TRUE(run.ok()) << run.status().to_string();
     EXPECT_TRUE(run->approximate);
-    EXPECT_DOUBLE_EQ(run->sample_rho, 0.5);
+    EXPECT_DOUBLE_EQ(run->sample_rho, 0.25);
     EXPECT_GT(run->sample_size, 0u);
     EXPECT_EQ(run->degrade_reason.code(), StatusCode::kResourceExhausted);
     EXPECT_EQ(run->result.size(), ds.size());
   }
+}
+
+TEST(GuardedRun, DegradedRunsOfOneInputAgree) {
+  // The fallback samples with a fixed seed, so degrading twice on one input
+  // gives one answer.
+  const Dataset ds = small_blobs();
+  GuardedRunOptions opts;
+  opts.limits.memory_budget_bytes = 32 * 1024;
+  opts.on_budget = OnBudget::kDegrade;
+  auto a = run_guarded(ds, small_params(), opts);
+  auto b = run_guarded(ds, small_params(), opts);
+  ASSERT_TRUE(a.ok()) << a.status().to_string();
+  ASSERT_TRUE(b.ok()) << b.status().to_string();
+  ASSERT_TRUE(a->approximate);
+  ASSERT_TRUE(b->approximate);
+  EXPECT_EQ(a->sample_size, b->sample_size);
+  EXPECT_EQ(a->result.label, b->result.label);
+  EXPECT_EQ(a->result.is_core, b->result.is_core);
 }
 
 TEST(GuardedRun, DegradeAppliesToDeadlineToo) {

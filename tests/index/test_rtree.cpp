@@ -36,9 +36,6 @@ TEST(RTree, EmptyTreeQueriesNothing) {
 }
 
 TEST(RTree, RejectsBadConfig) {
-  RTree::Config cfg;
-  cfg.max_entries = 1;  // a node must hold at least two entries
-  EXPECT_THROW(RTree::bulk_load_str(2, {}, cfg), std::invalid_argument);
   EXPECT_THROW(RTree::bulk_load_str(0, {}), std::invalid_argument);
 }
 
@@ -144,55 +141,38 @@ INSTANTIATE_TEST_SUITE_P(
                       QueryCase{400, 3, 0.5, 5}, QueryCase{400, 3, 100.0, 6},
                       QueryCase{64, 74, 120.0, 7}));
 
-class RTreeConfigSweep : public ::testing::TestWithParam<std::uint32_t> {};
+// Tree sizes around the fan-out: a single short leaf, one full leaf, a full
+// leaf plus a one-entry tail, two full levels, and four levels with a short
+// tail node on each level below the root. An all-covering ball query must
+// visit every node exactly once.
+class RTreeShapeSweep : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(RTreeConfigSweep, InvariantsAndQueriesForNodeSizes) {
-  RTree::Config cfg;
-  cfg.max_entries = GetParam();
-  Dataset ds = gen_uniform(400, 3, 0.0, 100.0, 11);
-  std::vector<std::pair<const double*, PointId>> items;
-  for (std::size_t i = 0; i < ds.size(); ++i)
-    items.emplace_back(ds.ptr(static_cast<PointId>(i)),
-                       static_cast<PointId>(i));
-  const RTree tree = RTree::bulk_load_str(3, std::move(items), cfg);
+TEST_P(RTreeShapeSweep, InvariantsAndQueriesForTreeSizes) {
+  Dataset ds = gen_uniform(GetParam(), 3, 0.0, 100.0, 11);
+  const RTree tree = build_tree(ds);
   tree.check_invariants();
-  const auto q = ds.point(0);
-  std::vector<PointId> got;
-  tree.query_ball(q, 20.0, got);
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, linear_ball(ds, q, 20.0, true));
-}
-
-INSTANTIATE_TEST_SUITE_P(NodeSizes, RTreeConfigSweep,
-                         ::testing::Values(4u, 8u, 16u, 64u));
-
-// A ball query keeps its depth-first stack inline up to 256 nodes and spills
-// the rest to the heap: a 300-wide node pushes past the inline part, and the
-// query must still visit every node once.
-TEST(RTree, WideNodesSpillTheQueryStackAndStayExact) {
-  RTree::Config cfg;
-  cfg.max_entries = 300;
-  Dataset ds = gen_uniform(300 * 300 + 7, 1, 0.0, 1000.0, 12);
-  std::vector<std::pair<const double*, PointId>> items;
-  for (std::size_t i = 0; i < ds.size(); ++i)
-    items.emplace_back(ds.ptr(static_cast<PointId>(i)),
-                       static_cast<PointId>(i));
-  const RTree tree = RTree::bulk_load_str(1, std::move(items), cfg);
-  tree.check_invariants();
-  EXPECT_EQ(tree.stats().internal_nodes, 3u);  // a root over 2 wide parents
-  for (double r : {2000.0, 3.0}) {
+  EXPECT_EQ(tree.size(), ds.size());
+  for (const double r : {20.0, 1000.0}) {
     const std::uint64_t visits = tree.node_visits();
-    const auto q = ds.point(5);
+    const auto q = ds.point(0);
     std::vector<PointId> got;
     tree.query_ball(q, r, got);
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, linear_ball(ds, q, r, true)) << "radius " << r;
-    // The all-covering query visits every node once: 3 internal, 301 leaves.
-    if (r > 1000.0) {
-      EXPECT_EQ(tree.node_visits() - visits, 304u);
+    if (r > 200.0) {
+      const RTree::Stats st = tree.stats();
+      EXPECT_EQ(tree.node_visits() - visits,
+                st.internal_nodes + st.leaf_nodes);
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(TreeSizes, RTreeShapeSweep,
+                         ::testing::Values(5u, RTree::kFanout,
+                                           RTree::kFanout + 1,
+                                           RTree::kFanout * RTree::kFanout,
+                                           RTree::kFanout * RTree::kFanout *
+                                                   RTree::kFanout + 7));
 
 }  // namespace
 }  // namespace udb

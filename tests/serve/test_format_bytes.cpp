@@ -95,7 +95,6 @@ TEST_F(FormatBytesTest, ManifestIsPinned) {
 
 TEST_F(FormatBytesTest, WalIsPinned) {
   WalConfig cfg;
-  cfg.sync_each_append = false;
   auto w = WalWriter::open(path("log.wal"), 2, cfg);
   ASSERT_TRUE(w.ok()) << w.status().to_string();
   const std::vector<double> inserts = {1.0, 2.0, 3.0, 4.0};

@@ -25,7 +25,10 @@
 //                     row must report exact=true, and its deterministic
 //                     µDBSCAN counts (n, num_mcs, queries performed /
 //                     avoided, union calls, provisional noise) must match
-//                     the baseline bit-for-bit. Timings are reported only.
+//                     the baseline bit-for-bit; and, Table II's shape, its
+//                     mudbscan_seconds must be below every other
+//                     algorithm's *_seconds in the same row. Timings are
+//                     otherwise reported only.
 //   update_throughput every workload's speedup_vs_refit must be
 //                     >= baseline * (1 - tol), tol --speedup-tolerance; its
 //                     updates_per_sec must be >= the baseline workload's
@@ -349,21 +352,39 @@ void diff_table2(const json::Value& base, const json::Value& fresh,
         pass = false;
       }
     }
-    if (!pass) gate.note(Outcome::kRegression);
-    // Timings are reported, not gated: the gate is the work, not the host.
+    // Timings are reported, not gated, except for Table II's shape: the
+    // paper's result is that µDBSCAN is the fastest algorithm in every row
+    // (5-36x ahead of the next one in the committed rows), a margin no host
+    // noise closes.
     std::string timings;
+    const char* rival = nullptr;  // the fresh row's fastest other algorithm
+    double rival_s = 0.0;
     for (const char* algo : {"rdbscan", "gdbscan", "griddbscan", "mudbscan"}) {
       const std::string key = std::string(algo) + "_seconds";
-      bool ok = true;
-      const double bt = num(brow, key.c_str(), ok);
-      const double ft = num(*frow, key.c_str(), ok);
+      bool bok = true, fok = true;
+      const double bt = num(brow, key.c_str(), bok);
+      const double ft = num(*frow, key.c_str(), fok);
       char buf[96];
-      if (ok) {
+      if (bok && fok) {
         std::snprintf(buf, sizeof buf, " %s %.4f->%.4fs", algo, bt, ft);
         timings += buf;
       }
+      if (fok && key != "mudbscan_seconds" &&
+          (rival == nullptr || ft < rival_s)) {
+        rival = algo;
+        rival_s = ft;
+      }
     }
-    std::printf("table2: %-9s exactness and counts %s; informational:%s\n",
+    bool mu_ok = true;
+    const double mu_s = num(*frow, "mudbscan_seconds", mu_ok);
+    if (mu_ok && rival != nullptr && !(mu_s < rival_s)) {
+      std::printf("table2: %-9s mudbscan_seconds %.4f not below %s_seconds "
+                  "%.4f  REGRESSION\n",
+                  name.c_str(), mu_s, rival, rival_s);
+      pass = false;
+    }
+    if (!pass) gate.note(Outcome::kRegression);
+    std::printf("table2: %-9s exactness, counts and shape %s; timings:%s\n",
                 name.c_str(), pass ? "ok" : "REGRESSION", timings.c_str());
   }
 }
