@@ -38,9 +38,9 @@ int main(int argc, char** argv) {
     for (double f : factors) {
       DbscanParams prm = nd.params;
       prm.eps *= f;
-      PdsDbscanDStats pds_st;
+      MuDbscanDStats pds_st;
       (void)pdsdbscan_d(nd.data, prm, ranks, &pds_st);
-      HpdbscanDStats hpd_st;
+      MuDbscanDStats hpd_st;
       (void)hpdbscan_d(nd.data, prm, ranks, &hpd_st);
       MuDbscanDStats mu_st;
       (void)mudbscan_d(nd.data, prm, ranks, &mu_st);

@@ -40,11 +40,12 @@ int main(int argc, char** argv) {
              "PDSDBSCAN-D", "HPDBSCAN~", "uDBSCAN-D", "RPDBSCAN", "exact");
   bench::rule();
 
+  bool all_exact = true;
   for (const auto& name : names) {
     NamedDataset nd = make_named_dataset(name, scale);
     const Dataset& ds = nd.data;
 
-    PdsDbscanDStats pds_st;
+    MuDbscanDStats pds_st;
     const auto pds_res = pdsdbscan_d(ds, nd.params, ranks, &pds_st);
 
     // The grid baseline blows up when cells cannot prune in high dimensions;
@@ -53,7 +54,7 @@ int main(int argc, char** argv) {
     ClusteringResult hpd_res;
     bool hpd_ran = ds.dim() <= 14;
     if (hpd_ran) {
-      HpdbscanDStats hpd_st;
+      MuDbscanDStats hpd_st;
       hpd_res = hpdbscan_d(ds, nd.params, ranks, &hpd_st);
       t_hpd = hpd_st.total();
     }
@@ -63,6 +64,7 @@ int main(int argc, char** argv) {
 
     bool exact = compare_exact(pds_res, mu_res).exact();
     if (hpd_ran) exact = exact && compare_exact(pds_res, hpd_res).exact();
+    all_exact = all_exact && exact;
 
     char hbuf[32];
     if (hpd_ran)
@@ -78,5 +80,5 @@ int main(int argc, char** argv) {
   bench::rule();
   bench::row("paper Table V: uDBSCAN-D lowest except HPDBSCAN (which is "
              "approximate there); only uDBSCAN-D completes the 1B/500M rows");
-  return 0;
+  return all_exact ? 0 : 1;
 }

@@ -44,6 +44,7 @@ struct WorkloadResult {
   std::size_t final_points = 0;
   double seconds = 0.0;
   double updates_per_sec = 0.0;
+  double updates_per_sec_floor = 0.0;
   double refit_seconds_per_update = 0.0;
   double speedup_vs_refit = 0.0;
   bool exact = false;
@@ -176,17 +177,22 @@ int main(int argc, char** argv) {
     bench::row("%12s | %8s %9s | %12s %16s %10s", "workload", "updates",
                "final_n", "updates/s", "refit_s/update", "speedup");
     bench::rule();
+    // Each workload's absolute updates/s floor, written to the document so
+    // a re-measured baseline keeps it (benchdiff gates a fresh run's rate
+    // against the baseline's floor).
     const struct {
       const char* name;
       const std::vector<std::int64_t>* ops;
+      double updates_per_sec_floor;
     } kWorkloads[] = {
-        {"insert_only", &ins_ops},
-        {"delete_only", &del_ops},
-        {"mixed_60_40", &mix_ops},
+        {"insert_only", &ins_ops, 120000},
+        {"delete_only", &del_ops, 800},
+        {"mixed_60_40", &mix_ops, 1800},
     };
     for (const auto& wl : kWorkloads) {
       WorkloadResult r = run_workload(wl.name, base, pool, params, *wl.ops,
                                       refit_reps, &metrics);
+      r.updates_per_sec_floor = wl.updates_per_sec_floor;
       bench::row("%12s | %8zu %9zu | %12.0f %16.6f %9.1fx", r.name.c_str(),
                  r.updates, r.final_points, r.updates_per_sec,
                  r.refit_seconds_per_update, r.speedup_vs_refit);
@@ -241,6 +247,7 @@ int main(int argc, char** argv) {
           << ", \"final_points\": " << r.final_points
           << ", \"seconds\": " << r.seconds
           << ", \"updates_per_sec\": " << r.updates_per_sec
+          << ", \"updates_per_sec_floor\": " << r.updates_per_sec_floor
           << ", \"refit_seconds_per_update\": " << r.refit_seconds_per_update
           << ", \"speedup_vs_refit\": " << r.speedup_vs_refit
           << ", \"exact\": " << (r.exact ? "true" : "false") << "}"

@@ -1,120 +1,63 @@
 #include "dist/hpdbscan_d.hpp"
 
-#include <cmath>
-#include <mutex>
+#include <memory>
+#include <optional>
 
 #include "common/distance.hpp"
-#include "common/timer.hpp"
 #include "dist/driver_common.hpp"
-#include "dist/merge.hpp"
 #include "index/grid.hpp"
-#include "unionfind/union_find.hpp"
 
 namespace udb {
 
+namespace {
+
+// HPDBSCAN grids with cell side = eps: queries touch the 3^d surrounding
+// cells (k = 1). Neighbor-cell lists are memoized lazily per cell.
+class GridStep final : public QueryUnionStep {
+ public:
+  using QueryUnionStep::QueryUnionStep;
+  bool build_index() override {
+    grid_.emplace(ds_, params_.eps);
+    nbr_cache_.resize(grid_->num_cells());
+    nbr_known_.assign(grid_->num_cells(), 0);
+    return true;
+  }
+  bool cluster() override {
+    const double eps2 = params_.eps * params_.eps;
+    query_and_union([&](PointId p, std::vector<PointId>& out) {
+      const double* pp = ds_.ptr(p);
+      for (Grid::CellId nc : neighbors_of(grid_->cell_of_point(p)))
+        for (PointId q : grid_->points_in(nc))
+          if (sq_dist(pp, ds_.ptr(q), ds_.dim()) < eps2) out.push_back(q);
+    });
+    return true;
+  }
+
+ private:
+  const std::vector<Grid::CellId>& neighbors_of(Grid::CellId c) {
+    if (!nbr_known_[c]) {
+      grid_->neighbors_within(c, 1, nbr_cache_[c]);
+      nbr_known_[c] = 1;
+    }
+    return nbr_cache_[c];
+  }
+
+  std::optional<Grid> grid_;
+  std::vector<std::vector<Grid::CellId>> nbr_cache_;
+  std::vector<std::uint8_t> nbr_known_;
+};
+
+}  // namespace
+
 ClusteringResult hpdbscan_d(const Dataset& global, const DbscanParams& params,
-                            int nranks, HpdbscanDStats* stats,
+                            int nranks, MuDbscanDStats* stats,
                             mpi::CostModel cost) {
-  mpi::Runtime rt(nranks, cost);
-  const std::size_t n = global.size();
-
-  ClusteringResult result;
-  result.label.assign(n, kNoise);
-  result.is_core.assign(n, 0);
-
-  HpdbscanDStats agg;
-  std::mutex agg_mu;
-  WallTimer wall;
-
-  rt.run([&](mpi::Comm& comm) {
-    LocalSetup setup = prepare_local(comm, global, params.eps);
-    const Dataset& ds = setup.combined;
-    const std::size_t m = ds.size();
-    const double eps2 = params.eps * params.eps;
-
-    // HPDBSCAN grids with cell side = eps: queries touch the 3^d surrounding
-    // cells (k = 1). Neighbor-cell lists are memoized lazily per cell.
-    double t0 = comm.vtime();
-    Grid grid(ds, params.eps);
-    std::vector<std::vector<Grid::CellId>> nbr_cache(grid.num_cells());
-    std::vector<std::uint8_t> nbr_known(grid.num_cells(), 0);
-    const double t_build = comm.vtime() - t0;
-
-    auto neighbors_of = [&](Grid::CellId c) -> const std::vector<Grid::CellId>& {
-      if (!nbr_known[c]) {
-        grid.neighbors_within(c, 1, nbr_cache[c]);
-        nbr_known[c] = 1;
-      }
-      return nbr_cache[c];
-    };
-    auto query = [&](PointId p, std::vector<std::pair<PointId, double>>& out) {
-      const double* pp = ds.ptr(p);
-      for (Grid::CellId nc : neighbors_of(grid.cell_of_point(p))) {
-        for (PointId q : grid.points_in(nc)) {
-          const double d2 = sq_dist(pp, ds.ptr(q), ds.dim());
-          if (d2 < eps2) out.emplace_back(q, d2);
-        }
-      }
-    };
-
-    t0 = comm.vtime();
-    UnionFind uf(m);
-    std::vector<std::uint8_t> is_core(m, 0), assigned(m, 0);
-    std::vector<std::pair<PointId, double>> nbhd;
-    std::uint64_t queries = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-      const PointId p = static_cast<PointId>(i);
-      nbhd.clear();
-      query(p, nbhd);
-      ++queries;
-      if (nbhd.size() < params.min_pts) continue;
-      is_core[p] = 1;
-      assigned[p] = 1;
-      for (const auto& [q, d2] : nbhd) {
-        if (is_core[q]) {
-          uf.union_sets(p, q);
-        } else if (!assigned[q]) {
-          uf.union_sets(p, q);
-          assigned[q] = 1;
-        }
-      }
-    }
-    const double t_cluster = comm.vtime() - t0;
-    comm.barrier();
-
-    t0 = comm.vtime();
-    MergeStats merge_stats;
-    DistClustering local = merge_local_clusterings(
-        comm, ds.dim(), params.eps, ds.raw(), setup.n_local, setup.gids,
-        setup.halo_owner, setup.rank_boxes, uf, is_core, assigned,
-        &merge_stats);
-    const double t_merge = comm.vtime() - t0;
-
-    scatter_result(setup, local.label, local.is_core, result.label,
-                   result.is_core);
-
-    const double m_partition = comm.allreduce_max(setup.t_partition);
-    const double m_halo = comm.allreduce_max(setup.t_halo);
-    const double m_build = comm.allreduce_max(t_build);
-    const double m_cluster = comm.allreduce_max(t_cluster);
-    const double m_merge = comm.allreduce_max(t_merge);
-    const std::int64_t queries_total =
-        comm.allreduce_sum(static_cast<std::int64_t>(queries));
-
-    if (comm.rank() == 0) {
-      std::lock_guard<std::mutex> lock(agg_mu);
-      agg.t_partition = m_partition;
-      agg.t_halo = m_halo;
-      agg.t_build = m_build;
-      agg.t_cluster = m_cluster;
-      agg.t_merge = m_merge;
-      agg.queries_performed = static_cast<std::uint64_t>(queries_total);
-    }
-  });
-
-  agg.wall_seconds = wall.seconds();
-  if (stats) *stats = agg;
-  return result;
+  DistConfig cfg;
+  cfg.cost = cost;
+  return run_distributed(global, params, nranks, stats, cfg,
+                         [&](const Dataset& combined) {
+                           return std::make_unique<GridStep>(combined, params);
+                         });
 }
 
 }  // namespace udb

@@ -9,29 +9,18 @@
 #pragma once
 
 #include "common/dataset.hpp"
+#include "dist/mudbscan_d.hpp"
 #include "metrics/clustering.hpp"
 #include "mpi/minimpi.hpp"
 
 namespace udb {
 
-struct HpdbscanDStats {
-  double t_partition = 0.0;
-  double t_halo = 0.0;
-  double t_build = 0.0;    // grid construction
-  double t_cluster = 0.0;  // query + union pass
-  double t_merge = 0.0;
-  double wall_seconds = 0.0;
-  std::uint64_t queries_performed = 0;
-
-  [[nodiscard]] double total() const noexcept {
-    return t_halo + t_build + t_cluster + t_merge;
-  }
-};
-
+// `stats` is filled as by mudbscan_d: t_tree is the grid build, t_cluster
+// the query + union pass, and t_reach = t_post = 0.
 [[nodiscard]] ClusteringResult hpdbscan_d(const Dataset& global,
                                           const DbscanParams& params,
                                           int nranks,
-                                          HpdbscanDStats* stats = nullptr,
+                                          MuDbscanDStats* stats = nullptr,
                                           mpi::CostModel cost = {});
 
 }  // namespace udb

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -13,6 +13,7 @@
 #include "core/mudbscan_engine.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/driver_common.hpp"
+#include "dist/halo.hpp"
 #include "obs/trace.hpp"
 
 namespace udb {
@@ -23,6 +24,70 @@ namespace {
 // snapshot I/O a real deployment would pay (~1 GB/s).
 constexpr double kCheckpointBeta = 1e-9;
 
+// µDBSCAN-D's local step: the engine's four phases.
+class EngineStep final : public LocalStep {
+ public:
+  EngineStep(const Dataset& ds, const DbscanParams& params,
+             const MuDbscanConfig& cfg)
+      : engine_(ds, params, cfg) {}
+  bool build_index() override {
+    engine_.build_tree();
+    return true;
+  }
+  bool find_reachable() override {
+    engine_.find_reachable();
+    return true;
+  }
+  bool cluster() override {
+    engine_.cluster();
+    return true;
+  }
+  bool post_process() override {
+    engine_.post_process();
+    return true;
+  }
+  UnionFind& uf() override { return engine_.uf(); }
+  const std::vector<std::uint8_t>& core_flags() const override {
+    return engine_.core_flags();
+  }
+  const std::vector<std::uint8_t>& assigned_flags() const override {
+    return engine_.assigned_flags();
+  }
+  std::uint64_t queries_performed() const override {
+    return engine_.stats.queries_performed;
+  }
+
+ private:
+  MuDbscanEngine engine_;
+};
+
+// A local step restored from its snapshot, for any driver's step: replaying
+// the saved roots reproduces the same partition of combined indices (root
+// identities may differ; the merge only groups). Its stages do nothing, so a
+// restoring rank passes the same barriers as a computing one.
+class RestoredStep final : public LocalStep {
+ public:
+  explicit RestoredStep(const LocalCkpt& lc)
+      : lc_(lc), uf_(lc.uf_root.size()) {
+    for (std::size_t i = 0; i < lc.uf_root.size(); ++i) {
+      const PointId pt = static_cast<PointId>(i);
+      if (lc.uf_root[i] != pt) (void)uf_.union_sets(pt, lc.uf_root[i]);
+    }
+  }
+  UnionFind& uf() override { return uf_; }
+  const std::vector<std::uint8_t>& core_flags() const override {
+    return lc_.is_core;
+  }
+  const std::vector<std::uint8_t>& assigned_flags() const override {
+    return lc_.assigned;
+  }
+  std::uint64_t queries_performed() const override { return 0; }
+
+ private:
+  const LocalCkpt& lc_;
+  UnionFind uf_;
+};
+
 // Everything one attempt shares across its rank threads. Each rank writes
 // only its own checkpoint slot, its own record and its own gids in the
 // result arrays, so nothing here needs a lock.
@@ -30,6 +95,7 @@ struct AttemptContext {
   const Dataset* global = nullptr;
   DbscanParams params;
   const DistConfig* cfg = nullptr;
+  const MakeLocalStep* make_local = nullptr;
   CheckpointStore* store = nullptr;  // null: no checkpoints (idle plan)
   const std::vector<int>* logical_of = nullptr;  // comm rank -> logical rank
   const std::vector<int>* comm_of = nullptr;     // logical rank -> comm rank
@@ -131,49 +197,37 @@ void run_rank(mpi::Comm& comm, const AttemptContext& ctx) {
 
   // ---- phase 3: local clustering (pure compute; snapshot or replay) ------
   comm.fault_point(kFtPointLocal);
-  std::optional<MuDbscanEngine> engine;
-  std::optional<UnionFind> restored;
+  std::unique_ptr<LocalStep> local_step;
   if (lc.valid) {
-    // Restore: replaying the saved roots reproduces the same partition of
-    // combined indices (root identities may differ; the merge only groups).
-    restored.emplace(n_comb);
-    for (std::size_t i = 0; i < n_comb; ++i) {
-      const PointId pt = static_cast<PointId>(i);
-      if (lc.uf_root[i] != pt) (void)restored->union_sets(pt, lc.uf_root[i]);
-    }
+    local_step = std::make_unique<RestoredStep>(lc);
     charge_ckpt(lc.bytes());
   } else {
     // Halo points participate fully: their classification may undercount
     // (their witnesses can lie outside our halo) but never overcounts, so
     // every local decision is globally sound; the merge phase consults each
     // halo point's owner for its authoritative core status.
-    engine.emplace(comb_ds, ctx.params, ctx.cfg->mu);
+    local_step = (*ctx.make_local)(comb_ds);
   }
-  // A restoring rank passes the same barriers as a computing one, so the
-  // barrier sequence stays aligned across ranks.
-  const auto step = [&](double& t, void (MuDbscanEngine::*run)()) {
+  const auto step = [&](double& t, bool (LocalStep::*run)()) {
     const double t_begin = comm.vtime();
-    if (engine) ((*engine).*run)();
-    t = comm.vtime() - t_begin;
+    t = ((*local_step).*run)() ? comm.vtime() - t_begin : 0.0;
   };
-  step(rec.t_tree, &MuDbscanEngine::build_tree);
+  step(rec.t_tree, &LocalStep::build_index);
   comm.barrier();
-  step(rec.t_reach, &MuDbscanEngine::find_reachable);
+  step(rec.t_reach, &LocalStep::find_reachable);
   comm.barrier();
-  step(rec.t_cluster, &MuDbscanEngine::cluster);
+  step(rec.t_cluster, &LocalStep::cluster);
   comm.barrier();
-  step(rec.t_post, &MuDbscanEngine::post_process);
-  if (engine) {
-    rec.queries_performed = engine->stats.queries_performed;
-    if (store) {
-      lc.uf_root.resize(n_comb);
-      for (std::size_t i = 0; i < n_comb; ++i)
-        lc.uf_root[i] = engine->uf().find(static_cast<PointId>(i));
-      lc.is_core = engine->core_flags();
-      lc.assigned = engine->assigned_flags();
-      lc.valid = true;
-      charge_ckpt(lc.bytes());
-    }
+  step(rec.t_post, &LocalStep::post_process);
+  rec.queries_performed = local_step->queries_performed();
+  if (store && !lc.valid) {
+    lc.uf_root.resize(n_comb);
+    for (std::size_t i = 0; i < n_comb; ++i)
+      lc.uf_root[i] = local_step->uf().find(static_cast<PointId>(i));
+    lc.is_core = local_step->core_flags();
+    lc.assigned = local_step->assigned_flags();
+    lc.valid = true;
+    charge_ckpt(lc.bytes());
   }
   comm.barrier();
 
@@ -183,10 +237,8 @@ void run_rank(mpi::Comm& comm, const AttemptContext& ctx) {
   MergeStats merge_stats;
   DistClustering local = merge_local_clusterings(
       comm, dim, eps, comb_ds.raw(), n_local, gids, halo_owner, rank_boxes,
-      engine ? engine->uf() : *restored,
-      engine ? engine->core_flags() : lc.is_core,
-      engine ? engine->assigned_flags() : lc.assigned, &merge_stats,
-      ctx.cfg->merge_strategy);
+      local_step->uf(), local_step->core_flags(),
+      local_step->assigned_flags(), &merge_stats, ctx.cfg->merge_strategy);
   rec.t_merge = comm.vtime() - t0;
   rec.cross_edges = merge_stats.cross_edges;
   rec.comm = comm.comm_stats();
@@ -227,11 +279,12 @@ mpi::FaultPlan attempt_plan(const mpi::FaultPlan& base, int attempt,
 
 }  // namespace
 
-ClusteringResult mudbscan_d(const Dataset& global, const DbscanParams& params,
-                            int nranks, MuDbscanDStats* stats,
-                            const DistConfig& cfg) {
+ClusteringResult run_distributed(const Dataset& global,
+                                 const DbscanParams& params, int nranks,
+                                 MuDbscanDStats* stats, const DistConfig& cfg,
+                                 const MakeLocalStep& make_local) {
   if (nranks < 1)
-    throw std::invalid_argument("mudbscan_d: nranks must be >= 1");
+    throw std::invalid_argument("distributed DBSCAN: nranks must be >= 1");
   const std::size_t n = global.size();
 
   ClusteringResult result;
@@ -284,6 +337,7 @@ ClusteringResult mudbscan_d(const Dataset& global, const DbscanParams& params,
     ctx.global = &global;
     ctx.params = params;
     ctx.cfg = &cfg;
+    ctx.make_local = &make_local;
     ctx.store = faulty ? &store : nullptr;
     ctx.logical_of = &alive;
     ctx.comm_of = &comm_of;
@@ -404,6 +458,15 @@ ClusteringResult mudbscan_d(const Dataset& global, const DbscanParams& params,
   out.wall_seconds = wall.seconds();
   if (stats) *stats = std::move(out);
   return result;
+}
+
+ClusteringResult mudbscan_d(const Dataset& global, const DbscanParams& params,
+                            int nranks, MuDbscanDStats* stats,
+                            const DistConfig& cfg) {
+  return run_distributed(
+      global, params, nranks, stats, cfg, [&](const Dataset& combined) {
+        return std::make_unique<EngineStep>(combined, params, cfg.mu);
+      });
 }
 
 }  // namespace udb

@@ -72,6 +72,8 @@ struct MuDbscanDRank {
   mpi::CommStats comm;            // the attempt's comm totals
 };
 
+// Also the stats of pdsdbscan_d and hpdbscan_d, whose t_tree is their index
+// build and whose t_reach and t_post are 0.
 struct MuDbscanDStats {
   // Virtual-time makespans per phase (paper Tables VII/VIII).
   double t_partition = 0.0;

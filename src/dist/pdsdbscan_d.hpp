@@ -1,6 +1,6 @@
 // PDSDBSCAN-D baseline (Patwary et al., SC'12): the disjoint-set parallel
 // DBSCAN the paper benchmarks against in Table V / Fig. 5. Same distributed
-// scaffolding as µDBSCAN-D (kd partitioning, eps-halo, pair merge), but the
+// pipeline as µDBSCAN-D (kd partitioning, eps-halo, pair merge), but the
 // local phase is classical DBSCAN: a single R-tree over local+halo points
 // and one eps-neighborhood query per point — no micro-clusters, no saved
 // queries.
@@ -8,29 +8,18 @@
 #pragma once
 
 #include "common/dataset.hpp"
+#include "dist/mudbscan_d.hpp"
 #include "metrics/clustering.hpp"
 #include "mpi/minimpi.hpp"
 
 namespace udb {
 
-struct PdsDbscanDStats {
-  double t_partition = 0.0;
-  double t_halo = 0.0;
-  double t_build = 0.0;    // local R-tree construction
-  double t_cluster = 0.0;  // local query + union pass
-  double t_merge = 0.0;
-  double wall_seconds = 0.0;
-  std::uint64_t queries_performed = 0;
-
-  [[nodiscard]] double total() const noexcept {
-    return t_halo + t_build + t_cluster + t_merge;
-  }
-};
-
+// `stats` is filled as by mudbscan_d: t_tree is the local R-tree build,
+// t_cluster the query + union pass, and t_reach = t_post = 0.
 [[nodiscard]] ClusteringResult pdsdbscan_d(const Dataset& global,
                                            const DbscanParams& params,
                                            int nranks,
-                                           PdsDbscanDStats* stats = nullptr,
+                                           MuDbscanDStats* stats = nullptr,
                                            mpi::CostModel cost = {});
 
 }  // namespace udb

@@ -156,6 +156,25 @@ TEST(Distributed, StatsArePopulated) {
   expect_rank_records(st, ds.size(), 4);
 }
 
+TEST(Distributed, BaselinesFillRankRecords) {
+  // The baselines run classical DBSCAN's one query per local or halo point
+  // through the same pipeline, so their stats carry per-rank records too.
+  Dataset ds = gen_blobs(800, 3, 4, 60.0, 3.0, 0.1, 61);
+  const DbscanParams prm{2.0, 5};
+  MuDbscanDStats pds, hpd;
+  (void)pdsdbscan_d(ds, prm, 4, &pds);
+  (void)hpdbscan_d(ds, prm, 4, &hpd);
+  for (const MuDbscanDStats* st : {&pds, &hpd}) {
+    expect_rank_records(*st, ds.size(), 4);
+    EXPECT_GT(st->halo_points_total, 0u);
+    EXPECT_EQ(st->queries_performed, ds.size() + st->halo_points_total);
+    EXPECT_GT(st->t_tree, 0.0);
+    EXPECT_GT(st->t_cluster, 0.0);
+    EXPECT_EQ(st->t_reach, 0.0);
+    EXPECT_EQ(st->t_post, 0.0);
+  }
+}
+
 TEST(Distributed, VirtualMakespanShrinksWithRanks) {
   // The virtual-time model must show parallel benefit for the local compute
   // phases: per-rank clustering time at p=8 should be well below p=1. The
